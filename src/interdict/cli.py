@@ -56,7 +56,6 @@ class CliConfig:
     cut_limit: int = DEFAULT_CUT_LIMIT
     tolerance: float = 1e-6
     output: str = "table"
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("scenario_limit", "lp_scenario_limit", "path_limit", "cut_limit"):
@@ -66,26 +65,24 @@ class CliConfig:
             raise ValueError("tolerance must lie in (0, 1)")
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+def _setting(args, name, default, parse=int):
+    """The flag if given, else the INTERDICT_<NAME> env var, else default."""
+    flag = getattr(args, name, None)
+    if flag is not None:
+        return flag
+    raw = os.environ.get(f"INTERDICT_{name.upper()}")
+    return parse(raw) if raw else default
 
 
 def config_from(args) -> CliConfig:
     """Precedence: command-line flag, then INTERDICT_* env var, then default."""
     return CliConfig(
-        scenario_limit=getattr(args, "scenario_limit", None)
-        or _env_int("INTERDICT_SCENARIO_LIMIT", DEFAULT_SCENARIO_LIMIT),
-        lp_scenario_limit=getattr(args, "lp_scenario_limit", None)
-        or _env_int("INTERDICT_LP_SCENARIO_LIMIT", DEFAULT_LP_SCENARIO_LIMIT),
-        path_limit=getattr(args, "path_limit", None)
-        or _env_int("INTERDICT_PATH_LIMIT", DEFAULT_PATH_LIMIT),
-        cut_limit=getattr(args, "cut_limit", None)
-        or _env_int("INTERDICT_CUT_LIMIT", DEFAULT_CUT_LIMIT),
-        tolerance=getattr(args, "tolerance", None)
-        or float(os.environ.get("INTERDICT_TOLERANCE") or 1e-6),
+        scenario_limit=_setting(args, "scenario_limit", DEFAULT_SCENARIO_LIMIT),
+        lp_scenario_limit=_setting(args, "lp_scenario_limit", DEFAULT_LP_SCENARIO_LIMIT),
+        path_limit=_setting(args, "path_limit", DEFAULT_PATH_LIMIT),
+        cut_limit=_setting(args, "cut_limit", DEFAULT_CUT_LIMIT),
+        tolerance=_setting(args, "tolerance", 1e-6, parse=float),
         output="json" if getattr(args, "json", False) else "table",
-        seed=getattr(args, "seed", None) or _env_int("INTERDICT_SEED", 0),
     )
 
 

@@ -1,9 +1,14 @@
-"""Scenarios, payoffs, mixed strategies, and adaptive-value oracles.
+"""Scenarios, payoffs, mixed strategies, and the interdictor's best response.
 
 A scenario removes exactly gamma arcs.  The arc-based payoff is the largest
 flow re-routable inside the committed arc flow once the removed arcs are
 gone; the path-based payoff is the committed path flow surviving removal
 (a path dies if any of its arcs is removed).  Both are evaluated exactly.
+
+worst_removal is the one exact best response to a set of arc weights, used
+on the capacities for the deterministic value and on a committed flow for
+its adaptive value.  It enumerates either the C(m, gamma) scenarios or the
+2^(n-2) s-t cuts, whichever are fewer among those within their limits.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import fmean
-from typing import Union
+from typing import Mapping, Union
 
 from .graph import (
     ArcFlow,
@@ -24,7 +29,6 @@ from .graph import (
     cut_count,
     iter_cuts,
     max_flow,
-    top_sum,
 )
 
 DEFAULT_SCENARIO_LIMIT = 20000
@@ -57,6 +61,18 @@ class Scenario:
 
     def survives(self, arc_id: int) -> bool:
         return arc_id not in self.removed
+
+    @classmethod
+    def covering(cls, instance: Instance, arcs) -> "Scenario":
+        """The given arcs (at most gamma of them), padded to exactly gamma
+        with the lowest other arc ids."""
+        chosen = list(arcs)
+        for aid in instance.arc_ids():
+            if len(chosen) >= instance.gamma:
+                break
+            if aid not in chosen:
+                chosen.append(aid)
+        return cls(tuple(chosen))
 
 
 @dataclass(frozen=True)
@@ -113,26 +129,16 @@ def scenarios(
     return [Scenario(combo) for combo in itertools.combinations(ids, instance.gamma)]
 
 
-def payoff_arc(instance: Instance, scenario: Scenario, flow: ArcFlow) -> Fraction:
-    """Largest flow routable within the committed flow after removal:
-    a max flow with capacities x_e on surviving arcs and 0 on removed ones."""
-    caps = {
-        aid: Fraction(0) if aid in scenario.removed_set else flow.get(aid)
-        for aid in instance.arc_ids()
-    }
-    value, _ = max_flow(instance, caps)
-    return value
-
-
-def payoff_arc_flow(
-    instance: Instance, scenario: Scenario, flow: ArcFlow
+def payoff_arc(
+    instance: Instance, scenario: Scenario, weights: Mapping[int, Fraction]
 ) -> tuple[Fraction, ArcFlow]:
-    """As payoff_arc, but also return the surviving flow attaining it."""
-    caps = {
-        aid: Fraction(0) if aid in scenario.removed_set else flow.get(aid)
-        for aid in instance.arc_ids()
-    }
-    return max_flow(instance, caps)
+    """Largest flow routable within the arc weights (a committed flow's
+    values, or the capacities; missing arcs weigh 0) once the scenario's
+    arcs are removed, with a flow attaining it."""
+    removed = scenario.removed_set
+    return max_flow(
+        instance, {aid: w for aid, w in weights.items() if aid not in removed}
+    )
 
 
 def payoff_path(instance: Instance, scenario: Scenario, flow: PathFlow) -> Fraction:
@@ -148,42 +154,56 @@ def payoff_path(instance: Instance, scenario: Scenario, flow: PathFlow) -> Fract
 
 def _payoff(instance, scenario, flow):
     if isinstance(flow, ArcFlow):
-        return payoff_arc(instance, scenario, flow)
+        return payoff_arc(instance, scenario, flow.values)[0]
     return payoff_path(instance, scenario, flow)
+
+
+def worst_removal(
+    instance: Instance,
+    weights: Mapping[int, Fraction],
+    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
+    cut_limit: int = DEFAULT_CUT_LIMIT,
+) -> tuple[Fraction, Scenario]:
+    """The interdictor's exact best response to the arc weights: the least
+    payoff_arc over all scenarios, and a scenario attaining it.
+
+    By max-flow/min-cut the same least value is, over all s-t cuts, the
+    crossing weight minus its gamma largest arcs.  Whichever of the
+    scenarios and the cuts are fewer among those within their limits get
+    enumerated, the cuts on a tie; the first minimizer wins.
+    """
+    nscen, ncuts = scenario_count(instance), cut_count(instance)
+    if ncuts <= cut_limit and (ncuts <= nscen or nscen > scenario_limit):
+        gamma = instance.gamma
+        best = None
+        for _, crossing in iter_cuts(instance):
+            ranked = sorted(crossing, key=lambda aid: (-weights.get(aid, 0), aid))
+            kept = (weights.get(aid, 0) for aid in ranked[gamma:])
+            value = sum(kept, start=Fraction(0))
+            if best is None or value < best[0]:
+                best = (value, ranked[:gamma])
+        return best[0], Scenario.covering(instance, best[1])
+    if nscen > scenario_limit:
+        raise ScenarioLimitExceeded(
+            f"{nscen} scenarios exceed the limit of {scenario_limit} and "
+            f"{ncuts} cuts exceed the limit of {cut_limit}"
+        )
+    best = None
+    for scenario in scenarios(instance, limit=scenario_limit):
+        value, _ = payoff_arc(instance, scenario, weights)
+        if best is None or value < best[0]:
+            best = (value, scenario)
+    return best
 
 
 def adaptive_value(
     instance: Instance,
     flow: ArcFlow,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> Fraction:
-    """min over all scenarios of the arc-based payoff, by full enumeration."""
-    best = None
-    for scenario in scenarios(instance, limit=scenario_limit):
-        value = payoff_arc(instance, scenario, flow)
-        if best is None or value < best:
-            best = value
-    return best
-
-
-def adaptive_value_by_cuts(
-    instance: Instance,
-    flow: ArcFlow,
     cut_limit: int = DEFAULT_CUT_LIMIT,
 ) -> Fraction:
-    """Cut-based cross-check of adaptive_value: min over cuts of the
-    crossing flow minus its gamma largest arc values."""
-    if cut_count(instance) > cut_limit:
-        raise CutLimitExceeded(
-            f"{cut_count(instance)} cuts exceed the limit of {cut_limit}"
-        )
-    best = None
-    for _, crossing in iter_cuts(instance):
-        loads = [flow.get(aid) for aid in crossing]
-        value = sum(loads, start=Fraction(0)) - top_sum(loads, instance.gamma)
-        if best is None or value < best:
-            best = value
-    return best
+    """Worst arc-based payoff of the committed flow over all scenarios."""
+    return worst_removal(instance, flow.values, scenario_limit, cut_limit)[0]
 
 
 def expected_payoff(

@@ -486,9 +486,3 @@ def iter_cuts(instance: Instance) -> Iterator[tuple[frozenset[int], tuple[ArcId,
         )
         yield frozenset(s_side), crossing
 
-
-def top_sum(values: Sequence[Fraction], k: int) -> Fraction:
-    """Sum of the min(k, len) largest values."""
-    if k <= 0:
-        return Fraction(0)
-    return sum(sorted(values, reverse=True)[:k], start=Fraction(0))

@@ -37,6 +37,7 @@ from .linopt import LpProblem, NumericalFailure, solve_lp_lexicographic
 from .solvers import (
     DEFAULT_LP_SCENARIO_LIMIT,
     DEFAULT_PATH_LIMIT,
+    _add_conservation,
     solve_ni,
     solve_rni,
     solve_rni_path,
@@ -118,13 +119,7 @@ def solve_lo(instance: Instance) -> LoSolution:
     for aid in instance.in_ids(instance.sink):
         objective[aid - 1] = objective.get(aid - 1, 0.0) + 1.0
     lp.set_objective(objective)
-    for v in instance.internal_nodes():
-        coeffs: dict[int, float] = {}
-        for aid in instance.out_ids(v):
-            coeffs[aid - 1] = coeffs.get(aid - 1, 0.0) + 1.0
-        for aid in instance.in_ids(v):
-            coeffs[aid - 1] = coeffs.get(aid - 1, 0.0) - 1.0
-        lp.add_row(coeffs, "=", 0.0)
+    _add_conservation(lp, instance, lambda aid: aid - 1)
     for aid in instance.arc_ids():
         lp.add_row({aid - 1: 1.0, th: -1.0}, "<=", 0.0)
     sol = solve_lp_lexicographic(lp, {th: 1.0})

@@ -5,8 +5,10 @@ solve_rni_path give the randomized values in the arc- and path-based
 payoff models together with an optimal mixed removal strategy; the gamma=1
 case has a dedicated polynomial LP.  Every mixed strategy is extracted
 from LP duals and can be re-validated with an independent two-sided
-certificate (certify): the flow witness is checked against full scenario
-enumeration and the strategy against an exact best-response LP.
+certificate (certify): the flow witness is checked against the
+interdictor's exact best response (game.worst_removal, the same oracle
+solve_ni applies to the capacities) and the strategy against an exact
+best-response LP.
 
 solve_rni carries two interchangeable exact formulations:
 
@@ -37,11 +39,11 @@ from .game import (
     Scenario,
     ScenarioLimitExceeded,
     adaptive_value,
-    adaptive_value_by_cuts,
-    payoff_arc_flow,
+    payoff_arc,
     payoff_path,
     scenario_count,
     scenarios,
+    worst_removal,
 )
 from .graph import (
     ArcFlow,
@@ -50,7 +52,6 @@ from .graph import (
     cut_count,
     enumerate_paths,
     iter_cuts,
-    max_flow,
 )
 from .linopt import LpProblem, solve_lp
 
@@ -98,26 +99,6 @@ class CertificateReport:
     tolerance: float
 
 
-def _removal_capacities(instance, removed):
-    return {
-        aid: Fraction(0) if aid in removed else instance.effective_capacity(aid)
-        for aid in instance.arc_ids()
-    }
-
-
-def _pad_to_gamma(instance, chosen):
-    """Deterministically extend a removal set to exactly gamma arcs."""
-    chosen = list(chosen)
-    have = set(chosen)
-    for aid in instance.arc_ids():
-        if len(chosen) >= instance.gamma:
-            break
-        if aid not in have:
-            chosen.append(aid)
-            have.add(aid)
-    return Scenario(tuple(chosen))
-
-
 def _arc_flow_from_lp(instance, values) -> ArcFlow:
     cleaned = {}
     for aid in instance.arc_ids():
@@ -143,54 +124,29 @@ def solve_ni(
     instance: Instance,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
     cut_limit: int = DEFAULT_CUT_LIMIT,
-    method: str = "auto",
 ) -> NiSolution:
-    """Best pure removal: min over scenarios of the post-removal max flow.
-
-    "enumerate" tries every scenario (first minimizer wins); "cuts" takes,
-    over every s-t cut, the crossing capacity minus its gamma largest arc
-    capacities, which agrees by max-flow/min-cut duality and stays cheap
-    when the scenario count explodes.  "auto" enumerates within
-    scenario_limit and otherwise switches to cuts.
-    """
-    if method == "auto":
-        method = "enumerate" if scenario_count(instance) <= scenario_limit else "cuts"
-        if method == "cuts" and cut_count(instance) > cut_limit:
-            raise ScenarioLimitExceeded(
-                f"{scenario_count(instance)} scenarios and "
-                f"{cut_count(instance)} cuts both exceed their limits"
-            )
-    if method == "enumerate":
-        best = None
-        for scenario in scenarios(instance, limit=scenario_limit):
-            value, flow = max_flow(
-                instance, _removal_capacities(instance, scenario.removed_set)
-            )
-            if best is None or value < best[0]:
-                best = (value, scenario, flow)
-        return NiSolution(value=best[0], witness_scenario=best[1], witness_flow=best[2])
-    if method != "cuts":
-        raise ValueError(f"unknown method {method!r}")
-    if cut_count(instance) > cut_limit:
-        raise CutLimitExceeded(f"{cut_count(instance)} cuts exceed {cut_limit}")
-    gamma = instance.gamma
-    best = None
-    for _, crossing in iter_cuts(instance):
-        by_size = sorted(
-            crossing, key=lambda aid: (-instance.effective_capacity(aid), aid)
-        )
-        removed = by_size[:gamma]
-        residual = sum(
-            (instance.effective_capacity(aid) for aid in by_size[gamma:]),
-            start=Fraction(0),
-        )
-        if best is None or residual < best[0]:
-            best = (residual, removed)
-    witness = _pad_to_gamma(instance, sorted(best[1]))
-    value, flow = max_flow(
-        instance, _removal_capacities(instance, witness.removed_set)
-    )
+    """Best pure removal: the interdictor's best response to the capacities
+    (worst_removal), with the max flow left after it."""
+    caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
+    _, witness = worst_removal(instance, caps, scenario_limit, cut_limit)
+    value, flow = payoff_arc(instance, witness, caps)
     return NiSolution(value=value, witness_scenario=witness, witness_flow=flow)
+
+
+def _add_scenario_flow(lp, instance, scenario, base):
+    """Inner flow y in columns base.. surviving the scenario and routed
+    within the committed flow x in columns 0..m-1; returns y's column map."""
+
+    def ycol(aid):
+        return base + aid - 1
+
+    for aid in scenario.removed:
+        lp.set_bounds(ycol(aid), 0.0, 0.0)
+    _add_conservation(lp, instance, ycol)
+    for aid in instance.arc_ids():
+        if aid not in scenario.removed_set:
+            lp.add_row({ycol(aid): 1.0, aid - 1: -1.0}, "<=", 0.0)
+    return ycol
 
 
 def _rni_scenario_lp(instance, scens):
@@ -206,18 +162,7 @@ def _rni_scenario_lp(instance, scens):
     _add_conservation(lp, instance, lambda aid: aid - 1)
     value_rows = []
     for k, scenario in enumerate(scens):
-        base = m + 1 + k * m
-
-        def ycol(aid, base=base):
-            return base + aid - 1
-
-        for aid in instance.arc_ids():
-            if aid in scenario.removed_set:
-                lp.set_bounds(ycol(aid), 0.0, 0.0)
-        _add_conservation(lp, instance, ycol)
-        for aid in instance.arc_ids():
-            if aid not in scenario.removed_set:
-                lp.add_row({ycol(aid): 1.0, aid - 1: -1.0}, "<=", 0.0)
+        ycol = _add_scenario_flow(lp, instance, scenario, m + 1 + k * m)
         row = lp.add_row(
             {z: 1.0, **{ycol(aid): -1.0 for aid in sink_in}}, "<=", 0.0
         )
@@ -317,8 +262,7 @@ def _rni_cut_lp(instance, cut_limit):
         if total > gamma:
             marginals = [p * gamma / total for p in marginals]
         for chosen, width in _madow_mixture(list(crossing), marginals, gamma):
-            scenario = _pad_to_gamma(instance, chosen)
-            pairs.append((scenario, lam * width))
+            pairs.append((Scenario.covering(instance, chosen), lam * width))
     strategy = MixedStrategy.normalized(pairs)
     return sol.objective, strategy, witness
 
@@ -368,7 +312,7 @@ def solve_rni(
         raise ValueError(f"unknown method {method!r}")
     value, strategy, witness = _rni_cut_lp(instance, cut_limit)
     flows = {
-        scenario: payoff_arc_flow(instance, scenario, witness)[1]
+        scenario: payoff_arc(instance, scenario, witness.values)[1]
         for scenario, _ in strategy.support
     }
     return RniSolution(
@@ -538,18 +482,7 @@ def best_response_arc(
     _add_conservation(lp, instance, lambda aid: aid - 1)
     objective: dict[int, float] = {}
     for k, (scenario, prob) in enumerate(support):
-        base = m + k * m
-
-        def ycol(aid, base=base):
-            return base + aid - 1
-
-        for aid in instance.arc_ids():
-            if aid in scenario.removed_set:
-                lp.set_bounds(ycol(aid), 0.0, 0.0)
-        _add_conservation(lp, instance, ycol)
-        for aid in instance.arc_ids():
-            if aid not in scenario.removed_set:
-                lp.add_row({ycol(aid): 1.0, aid - 1: -1.0}, "<=", 0.0)
+        ycol = _add_scenario_flow(lp, instance, scenario, m + k * m)
         for aid in sink_in:
             objective[ycol(aid)] = objective.get(ycol(aid), 0.0) + prob
     lp.set_objective(objective)
@@ -619,14 +552,9 @@ def certify(
         raise ValueError("kind must be 'arc' or 'path'")
     value = float(solution.value)
     if kind == "arc":
-        if scenario_count(instance) <= scenario_limit:
-            worst = adaptive_value(
-                instance, solution.flow_witness, scenario_limit=scenario_limit
-            )
-        else:
-            worst = adaptive_value_by_cuts(
-                instance, solution.flow_witness, cut_limit=cut_limit
-            )
+        worst = adaptive_value(
+            instance, solution.flow_witness, scenario_limit, cut_limit
+        )
         adversary, _ = best_response_arc(instance, solution.strategy)
     else:
         worst = _min_scenario_payoff_path(

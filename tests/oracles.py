@@ -6,8 +6,21 @@ work in exact rational arithmetic, so they can vouch for the solvers.
 
 from fractions import Fraction
 
+from interdict.game import adaptive_value
 from interdict.graph import iter_cuts
 from interdict.lomodel import lo_value_at
+
+
+def adaptive_by_scenarios(instance, flow):
+    """adaptive_value by scenario enumeration: a cut limit of 0 rules the
+    cut enumeration out."""
+    return adaptive_value(instance, flow, cut_limit=0)
+
+
+def adaptive_by_cuts(instance, flow):
+    """adaptive_value by cut enumeration: a scenario limit of 0 rules the
+    scenario enumeration out."""
+    return adaptive_value(instance, flow, scenario_limit=0)
 
 
 def theta_sweep(instance):

@@ -13,8 +13,6 @@ from functools import lru_cache
 import pytest
 
 from interdict.game import (
-    adaptive_value,
-    adaptive_value_by_cuts,
     estimate_expected_payoff,
     expected_payoff,
 )
@@ -28,7 +26,7 @@ from interdict.solvers import (
     solve_rni_gamma1,
     solve_rni_path,
 )
-from oracles import theta_sweep
+from oracles import adaptive_by_cuts, adaptive_by_scenarios, theta_sweep
 
 REL = 1e-6
 
@@ -196,7 +194,7 @@ def test_criterion_5_property_suite():
             violations.append((i, "arc certificate"))
         if not certify(inst, rni_path, kind="path").passed:
             violations.append((i, "path certificate"))
-        if adaptive_value(inst, rni.flow_witness) != adaptive_value_by_cuts(
+        if adaptive_by_scenarios(inst, rni.flow_witness) != adaptive_by_cuts(
             inst, rni.flow_witness
         ):
             violations.append((i, "adaptive value oracles disagree"))

@@ -141,6 +141,14 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--model", "rni-path", fig2a_file)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--scenario-limit", "--tolerance"])
+    def test_zero_flag_is_rejected_not_replaced(self, fig2a_file, capsys, flag):
+        code, stdout, _ = run(
+            capsys, "solve", "--model", "ni", fig2a_file, flag, "0", "--json"
+        )
+        assert code == 1
+        assert json.loads(stdout)["error"]["kind"] == "input"
+
 
 class TestReport:
     def test_fig1_tight_row(self, tmp_path, capsys):

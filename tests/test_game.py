@@ -8,7 +8,6 @@ from interdict.game import (
     Scenario,
     ScenarioLimitExceeded,
     adaptive_value,
-    adaptive_value_by_cuts,
     estimate_expected_payoff,
     expected_payoff,
     payoff_arc,
@@ -16,6 +15,7 @@ from interdict.game import (
     scenarios,
 )
 from interdict.instances import fig1, fig2a, random_instance
+from oracles import adaptive_by_cuts, adaptive_by_scenarios
 
 
 def saturating_flow(instance):
@@ -64,17 +64,18 @@ class TestPayoffArc:
     def test_fig2a_k2_losing_one_unbounded_arc(self):
         inst = fig2a(2, 1)
         x = balanced_fig_flow(inst, 2)
-        assert payoff_arc(inst, Scenario((3,)), x) == 1
+        assert payoff_arc(inst, Scenario((3,)), x.values)[0] == 1
 
     def test_removing_unused_arc_keeps_value(self):
         inst = fig2a(2, 1)
         x = ArcFlow.from_values(inst, {1: 1, 3: 1})  # one unit on one route
-        assert payoff_arc(inst, Scenario((2,)), x) == x.value == 1
+        assert payoff_arc(inst, Scenario((2,)), x.values)[0] == x.value == 1
 
     def test_single_path_cut_to_zero(self):
         inst = chain_instance([2, 2, 2])
         x = saturating_flow(inst)
-        assert payoff_arc(inst, Scenario((2,)), x) == 0
+        value, survivor = payoff_arc(inst, Scenario((2,)), x.values)
+        assert value == survivor.value == 0
 
 
 class TestPayoffPath:
@@ -121,30 +122,31 @@ class TestAdaptiveValue:
         assert adaptive_value(inst, x) == 6
 
     def test_limit_propagates(self):
-        with pytest.raises(ScenarioLimitExceeded):
-            adaptive_value(fig1(12, 2), saturating_flow(fig1(12, 2)), scenario_limit=10)
+        inst = fig1(12, 2)  # 120 scenarios, 2 cuts
+        with pytest.raises(ScenarioLimitExceeded, match="120 scenarios.*2 cuts"):
+            adaptive_value(inst, saturating_flow(inst), scenario_limit=10, cut_limit=1)
 
 
 class TestAdaptiveValueByCuts:
     def test_single_cut_drops_largest(self):
         inst = Instance(2, 1, 2, (Arc(1, 2, Fraction(3)), Arc(1, 2, Fraction(1))), 1)
         x = saturating_flow(inst)
-        assert adaptive_value_by_cuts(inst, x) == 1
+        assert adaptive_by_cuts(inst, x) == 1
 
     def test_fig2a_k2(self):
         inst = fig2a(2, 1)
-        assert adaptive_value_by_cuts(inst, balanced_fig_flow(inst, 2)) == 1
+        assert adaptive_by_cuts(inst, balanced_fig_flow(inst, 2)) == 1
 
     def test_gamma_covers_cut(self):
         inst = chain_instance([5, 5], gamma=2)
-        assert adaptive_value_by_cuts(inst, saturating_flow(inst)) == 0
+        assert adaptive_by_cuts(inst, saturating_flow(inst)) == 0
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("gamma", [1, 2, 3])
     def test_matches_enumeration(self, seed, gamma):
         inst = random_instance(nodes=6, arcs=9, cap_max=7, gamma=gamma, seed=seed)
         x = saturating_flow(inst)
-        assert adaptive_value(inst, x) == adaptive_value_by_cuts(inst, x)
+        assert adaptive_by_scenarios(inst, x) == adaptive_by_cuts(inst, x)
 
 
 class TestExpectedPayoff:
@@ -158,7 +160,8 @@ class TestExpectedPayoff:
         inst = fig2a(2, 1)
         x = balanced_fig_flow(inst, 2)
         alpha = MixedStrategy.degenerate(Scenario((1,)))
-        assert expected_payoff(inst, alpha, x) == payoff_arc(inst, Scenario((1,)), x)
+        value, _ = payoff_arc(inst, Scenario((1,)), x.values)
+        assert expected_payoff(inst, alpha, x) == value
 
     def test_linear_in_alpha(self):
         inst = random_instance(nodes=6, arcs=9, cap_max=7, gamma=2, seed=5)
@@ -193,7 +196,7 @@ class TestPayoffOrdering:
         pf = decompose(inst, x)
         for scenario in scenarios(inst):
             g = payoff_path(inst, scenario, pf)
-            f = payoff_arc(inst, scenario, x)
+            f, _ = payoff_arc(inst, scenario, x.values)
             assert 0 <= g <= f <= x.value
 
 

@@ -13,7 +13,6 @@ from interdict.graph import (
     iter_cuts,
     max_flow,
     min_cut,
-    top_sum,
     validate_flow,
 )
 from interdict.instances import fig1, fig2a, random_instance
@@ -242,9 +241,3 @@ class TestCutHelpers:
     def test_iter_cuts_count(self):
         inst = random_instance(nodes=6, arcs=9, cap_max=4, gamma=1, seed=1)
         assert len(list(iter_cuts(inst))) == 2 ** 4
-
-    def test_top_sum(self):
-        vals = [Fraction(3), Fraction(1), Fraction(2)]
-        assert top_sum(vals, 2) == 5
-        assert top_sum(vals, 0) == 0
-        assert top_sum(vals, 10) == 6

@@ -63,8 +63,8 @@ class TestSolveNi:
     def test_cut_method_matches_enumeration(self):
         for seed in range(10):
             inst = random_instance(nodes=6, arcs=10, cap_max=9, gamma=2, seed=seed)
-            a = solve_ni(inst, method="enumerate")
-            b = solve_ni(inst, method="cuts")
+            a = solve_ni(inst, cut_limit=0)  # scenario enumeration
+            b = solve_ni(inst, scenario_limit=0)  # cut enumeration
             assert a.value == b.value
             # both witnesses actually attain the value
             for sol in (a, b):
@@ -74,6 +74,23 @@ class TestSolveNi:
                      else inst.effective_capacity(aid) for aid in inst.arc_ids()},
                 )
                 assert post == sol.value
+
+    def test_long_chain_enumerates_scenarios(self):
+        inst = chain(range(1, 16))  # 15 scenarios, 2^14 cuts: over the cut limit
+        sol = solve_ni(inst)
+        assert sol.value == 0 and sol.witness_scenario.removed == (1,)
+        x = max_flow(inst)[1]
+        assert adaptive_value(inst, x) == 0
+        with pytest.raises(ScenarioLimitExceeded, match="15 scenarios.*16384 cuts"):
+            solve_ni(inst, scenario_limit=14)
+
+    def test_fig2b_enumerates_cuts_under_tiny_scenario_limit(self):
+        inst = fig2b(48, 2)  # 1,378 scenarios, 4 cuts
+        assert solve_ni(inst, scenario_limit=10).value == 47
+        sol = solve_rni(inst)
+        worst = adaptive_value(inst, sol.flow_witness, scenario_limit=10)
+        assert float(worst) == pytest.approx(sol.value, abs=1e-6)
+        assert certify(inst, sol, kind="arc", scenario_limit=10).passed
 
     def test_cut_method_beyond_enumeration_limits(self):
         inst = fig2a(100, 3)  # C(104, 3) scenarios
