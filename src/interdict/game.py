@@ -59,9 +59,6 @@ class Scenario:
     def removed_set(self) -> frozenset[int]:
         return frozenset(self.removed)
 
-    def survives(self, arc_id: int) -> bool:
-        return arc_id not in self.removed
-
     @classmethod
     def covering(cls, instance: Instance, arcs) -> "Scenario":
         """The given arcs (at most gamma of them), padded to exactly gamma

@@ -72,14 +72,6 @@ class LpProblem:
         self.rows.append((clean, rel, float(rhs)))
         return len(self.rows) - 1
 
-    def copy(self) -> "LpProblem":
-        dup = LpProblem(self.num_vars, self.sense)
-        dup.objective = self.objective.copy()
-        dup.lower = self.lower.copy()
-        dup.upper = self.upper.copy()
-        dup.rows = [(dict(c), rel, rhs) for c, rel, rhs in self.rows]
-        return dup
-
 
 class LpSolution:
     def __init__(self, status: str, x=None, duals=None, objective=None):
@@ -426,38 +418,3 @@ def solve_lp(problem: LpProblem, max_iterations=None) -> LpSolution:
     if bad:
         raise NumericalFailure(f"optimality re-check failed: {bad}")
     return solution
-
-
-def solve_lp_lexicographic(
-    problem: LpProblem,
-    secondary: dict[int, float],
-    tie_tolerance: float = 1e-9,
-) -> LpSolution:
-    """Among (near-)optima of the primary objective, maximize ``secondary``.
-
-    The primary objective is pinned with a pair of inequality rows at the
-    optimal value, i.e. an equality with the given tolerance.  The
-    returned solution carries the primary objective value; its duals are
-    those of the pinned problem, restricted to the original rows.
-    """
-    first = solve_lp(problem)
-    if first.status != "optimal":
-        return first
-    pinned = problem.copy()
-    obj_row = {j: problem.objective[j] for j in range(problem.num_vars)}
-    sense_hi = first.objective + tie_tolerance
-    sense_lo = first.objective - tie_tolerance
-    pinned.add_row(obj_row, "<=", sense_hi)
-    pinned.add_row(obj_row, ">=", sense_lo)
-    pinned.sense = "max"
-    pinned.set_objective(dict(secondary))
-    second = solve_lp(pinned)
-    if second.status != "optimal":
-        raise NumericalFailure("tie-break solve lost feasibility")
-    objective = float(problem.objective @ second.x)
-    return LpSolution(
-        status="optimal",
-        x=second.x,
-        duals=second.duals[: len(problem.rows)],
-        objective=objective,
-    )

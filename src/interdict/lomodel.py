@@ -2,10 +2,14 @@
 
 The model caps every arc flow at a common threshold theta and maximizes
 flow value minus gamma * theta; its optimum lower-bounds every game value.
-solve_lo picks, among optima, the one with the largest theta (lexicographic
-LP), which is what makes the two certificate cuts of lo_cuts exist: a min
-cut whose crossing arcs at-or-above theta number at least gamma, and one
-whose strictly-above arcs number fewer than gamma.
+Its value at theta is the min-cut value under capacities min(u_e, theta)
+minus gamma * theta, a concave piecewise-linear function whose
+supergradients a min cut gives exactly.  solve_lo finds the largest
+maximizer theta* by an exact tangent search over min cuts (no LP), which is
+what makes the two certificate cuts of lo_cuts exist: a min cut whose
+crossing arcs at-or-above theta* number at least gamma, and one whose
+strictly-above arcs number fewer than gamma.  lo_cuts reads them off two
+min cuts at theta* -/+ an exact epsilon.
 
 approx_report assembles all solver values, the cuts, and every ratio with
 its guaranteed bound into one verdict table.
@@ -13,7 +17,8 @@ its guaranteed bound into one verdict table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -33,11 +38,10 @@ from .graph import (
     max_flow,
     min_cut,
 )
-from .linopt import LpProblem, NumericalFailure, solve_lp_lexicographic
 from .solvers import (
     DEFAULT_LP_SCENARIO_LIMIT,
     DEFAULT_PATH_LIMIT,
-    _add_conservation,
+    RniSolution,
     solve_ni,
     solve_rni,
     solve_rni_path,
@@ -83,6 +87,14 @@ class ApproxReport:
     bounds: tuple[BoundCheck, ...]
     partial: bool
     skipped: tuple[str, ...]
+    rni: Optional[RniSolution]  # None when skipped
+    rni_path: Optional[RniSolution]  # None when skipped
+
+
+def _capped(instance: Instance, theta: Fraction) -> dict[int, Fraction]:
+    return {
+        aid: min(instance.effective_capacity(aid), theta) for aid in instance.arc_ids()
+    }
 
 
 def lo_value_at(instance: Instance, theta: Numeric) -> Fraction:
@@ -91,109 +103,99 @@ def lo_value_at(instance: Instance, theta: Numeric) -> Fraction:
     th = as_fraction(theta)
     if th < 0:
         raise ValueError("theta must be nonnegative")
-    caps = {
-        aid: min(instance.effective_capacity(aid), th) for aid in instance.arc_ids()
-    }
-    value, _ = max_flow(instance, caps)
-    return value - instance.gamma * th
+    return max_flow(instance, _capped(instance, th))[0] - instance.gamma * th
 
 
-def _snap_theta(theta: float) -> Fraction:
-    exact = Fraction(theta)
-    snapped = exact.limit_denominator(10**6)
-    if abs(float(snapped) - theta) <= 1e-9 * (1.0 + abs(theta)):
-        return snapped
-    return exact
+def _probe(instance: Instance, theta: Fraction) -> tuple[Fraction, int, int]:
+    """Model value at theta and its right and left slopes, read off one min
+    cut C under u(theta): |{e in C: u_e > theta}| - gamma and
+    |{e in C: u_e >= theta}| - gamma.  Both are supergradients."""
+    cut = min_cut(instance, theta=theta)
+    gamma = instance.gamma
+    return (
+        cut.capacity_at_theta - gamma * theta,
+        len(cut.strictly_below) - gamma,
+        len(cut.tight_at_or_below) - gamma,
+    )
 
 
 def solve_lo(instance: Instance) -> LoSolution:
     """Maximize flow value minus gamma * theta over (flow, theta), taking
-    the largest theta among optima; the returned solution is re-evaluated
-    exactly at the (rationalized) theta."""
-    m = instance.arc_count
-    lp = LpProblem(m + 1, sense="max")
-    th = m
-    for aid in instance.arc_ids():
-        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
-    objective = {th: -float(instance.gamma)}
-    for aid in instance.in_ids(instance.sink):
-        objective[aid - 1] = objective.get(aid - 1, 0.0) + 1.0
-    lp.set_objective(objective)
-    _add_conservation(lp, instance, lambda aid: aid - 1)
-    for aid in instance.arc_ids():
-        lp.add_row({aid - 1: 1.0, th: -1.0}, "<=", 0.0)
-    sol = solve_lp_lexicographic(lp, {th: 1.0})
-    if sol.status != "optimal":
-        raise NumericalFailure(f"parametric model LP ended {sol.status}")
-    theta = _snap_theta(float(sol.x[th]))
-    for attempt in (theta, Fraction(float(sol.x[th]))):
-        caps = {
-            aid: min(instance.effective_capacity(aid), attempt)
-            for aid in instance.arc_ids()
-        }
-        flow_value, flow = max_flow(instance, caps)
-        value = flow_value - instance.gamma * attempt
-        if abs(float(value) - sol.objective) <= 1e-7 * (1.0 + abs(sol.objective)):
-            return LoSolution(
-                value=value, theta_star=attempt, flow=flow, flow_value=flow_value
-            )
-    raise NumericalFailure("could not reconcile LP optimum with exact re-evaluation")
+    the largest theta among optima, exactly.
+
+    The model value f(theta) is concave and piecewise linear, and a min cut
+    at theta gives a tangent line on each side.  The search keeps a point a
+    whose right tangent rises (slope >= 0) and a point b whose left tangent
+    falls (slope < 0), starting from 0 and from one past the largest
+    capacity, and probes where the two tangents meet.  It stops when f
+    there reaches the tangents' value or the probe cut's right slope is
+    negative and its left slope is not; otherwise the probe replaces a or
+    b.  Every step lowers the tangents' bound or moves b past a new line,
+    so it ends after finitely many min cuts.
+    """
+    a = Fraction(0)
+    fa, ra, _ = _probe(instance, a)
+    theta = a
+    if ra >= 0:
+        b = max(instance.effective_capacity(aid) for aid in instance.arc_ids()) + 1
+        fb, _, lb = _probe(instance, b)
+        while True:
+            theta = (fb - fa + a * ra - b * lb) / (ra - lb)
+            value, right, left = _probe(instance, theta)
+            if value == fa + (theta - a) * ra or right < 0 <= left:
+                break
+            if right >= 0:
+                a, fa, ra = theta, value, right
+            else:
+                b, fb, lb = theta, value, left
+    flow_value, flow = max_flow(instance, _capped(instance, theta))
+    return LoSolution(
+        value=flow_value - instance.gamma * theta,
+        theta_star=theta,
+        flow=flow,
+        flow_value=flow_value,
+    )
 
 
 def _cut_at_theta(instance, probe_theta, theta) -> CutReport:
     """Min cut located at the probe threshold, reported at theta."""
     located = min_cut(instance, theta=probe_theta)
-    crossing = located.crossing
-    caps = {aid: instance.effective_capacity(aid) for aid in crossing}
-    return CutReport(
-        s_side=located.s_side,
-        crossing=crossing,
-        capacity=sum(caps.values(), start=Fraction(0)),
+    caps = {aid: instance.effective_capacity(aid) for aid in located.crossing}
+    return replace(
+        located,
         theta=theta,
-        capacity_at_theta=sum(
-            (min(c, theta) for c in caps.values()), start=Fraction(0)
-        ),
-        tight_at_or_below=frozenset(a for a in crossing if theta <= caps[a]),
-        strictly_below=frozenset(a for a in crossing if theta < caps[a]),
+        capacity_at_theta=sum((min(c, theta) for c in caps.values()), Fraction(0)),
+        tight_at_or_below=frozenset(a for a in caps if theta <= caps[a]),
+        strictly_below=frozenset(a for a in caps if theta < caps[a]),
     )
 
 
 def lo_cuts(
     instance: Instance, solution: LoSolution
 ) -> tuple[CutReport, CutReport]:
-    """The two certificate cuts at theta*: one found just below it (its
-    at-or-above set must have >= gamma arcs; checked only for theta* > 0,
-    where the guarantee holds), one just above (strictly-above set < gamma).
+    """The two certificate cuts at theta*: the min cut at theta* - eps (its
+    at-or-above set must have >= gamma arcs; at theta* = 0 the cut at 0,
+    unchecked) and the one at theta* + eps (strictly-above set < gamma),
+    both reported at theta*.
 
-    Probes start at theta* -/+ (min positive gap of the capacity values
-    and theta*) / (2|E|) and shrink until both probe cuts are minimal at
-    theta* itself; failure of the required conditions raises
-    InvariantViolation since it signals a theta*-maximality bug upstream.
+    With D the LCM of the capacity denominators and m the arc count, every
+    kink of the min-cut value is p / (D k) with k <= m, so distinct kinks
+    lie at least 1 / (D m^2) apart and eps = 1 / (2 D m^2) puts each probe
+    inside the linear piece next to theta*.  A probe cut that is not
+    minimal at theta*, or a failed condition, raises InvariantViolation
+    since it signals a theta*-maximality bug upstream.
     """
     theta = solution.theta_star
-    values = sorted({instance.effective_capacity(a) for a in instance.arc_ids()}
-                    | {theta})
-    gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
-    eps = (min(gaps) if gaps else max(values[0], Fraction(1))) / (
-        2 * instance.arc_count
+    m = instance.arc_count
+    d = math.lcm(
+        *(instance.effective_capacity(aid).denominator for aid in instance.arc_ids())
     )
-
-    def locate(side: int) -> CutReport:
-        probe_eps = eps
-        for _ in range(60):
-            probe = theta + side * probe_eps
-            if probe < 0:
-                probe = Fraction(0)
-            report = _cut_at_theta(instance, probe, theta)
-            if report.capacity_at_theta == solution.flow_value:
-                return report
-            probe_eps /= 4
-        raise InvariantViolation(
-            "no probe cut stayed minimal at theta*; theta* is not maximal"
-        )
-
-    s_prime = locate(-1) if theta > 0 else _cut_at_theta(instance, theta, theta)
-    s_dblprime = locate(+1)
+    eps = Fraction(1, 2 * d * m * m)
+    s_prime = _cut_at_theta(instance, theta - eps if theta > 0 else theta, theta)
+    s_dblprime = _cut_at_theta(instance, theta + eps, theta)
+    flow_value = solution.flow_value
+    if not s_prime.capacity_at_theta == s_dblprime.capacity_at_theta == flow_value:
+        raise InvariantViolation("a probe cut is not minimal at theta*")
     if theta > 0 and len(s_prime.tight_at_or_below) < instance.gamma:
         raise InvariantViolation(
             f"below-cut has only {len(s_prime.tight_at_or_below)} arcs at or "
@@ -250,24 +252,17 @@ def approx_report(
     the guaranteed ratio bounds, the certificate-cut conditions, and the
     conditional identities (premises checked with a 1e-9 margin).  Ratios
     with a vanishing denominator report NA, never infinity.  Solvers whose
-    limits are exceeded are skipped and flagged (partial result)."""
+    limits are exceeded are skipped and flagged (partial result); the RNI
+    solutions are kept on the report for certification."""
     nominal = float(max_flow(instance)[0])
     lo = solve_lo(instance)
     s_prime, s_dblprime = lo_cuts(instance, lo)
     a = len(s_prime.tight_at_or_below)
     b = len(s_dblprime.strictly_below)
-    big_l = float(
-        sum(
-            (
-                instance.effective_capacity(aid)
-                for aid in s_prime.crossing
-                if aid not in s_prime.tight_at_or_below
-            ),
-            start=Fraction(0),
-        )
-    )
+    # the below-cut's arcs with u_e < theta*: the other a are capped at theta*
+    big_l = float(s_prime.capacity_at_theta - a * lo.theta_star)
     skipped = []
-    z_ni = z_rni = z_rni_path = None
+    z_ni = rni = rni_path = None
     try:
         z_ni = float(
             solve_ni(instance, scenario_limit=scenario_limit, cut_limit=cut_limit).value
@@ -275,18 +270,20 @@ def approx_report(
     except (ScenarioLimitExceeded, CutLimitExceeded):
         skipped.append("ni")
     try:
-        z_rni = solve_rni(
+        rni = solve_rni(
             instance, lp_scenario_limit=lp_scenario_limit, cut_limit=cut_limit
-        ).value
+        )
     except (ScenarioLimitExceeded, CutLimitExceeded):
         skipped.append("rni")
     try:
-        z_rni_path = solve_rni_path(
+        rni_path = solve_rni_path(
             instance, path_limit=path_limit, lp_scenario_limit=lp_scenario_limit
-        ).value
+        )
     except (ScenarioLimitExceeded, PathLimitExceeded):
         skipped.append("rni_path")
 
+    z_rni = None if rni is None else rni.value
+    z_rni_path = None if rni_path is None else rni_path.value
     z_lo = float(lo.value)
     theta = float(lo.theta_star)
     val_x = float(lo.flow_value)
@@ -364,4 +361,6 @@ def approx_report(
         bounds=tuple(bounds),
         partial=bool(skipped),
         skipped=tuple(skipped),
+        rni=rni,
+        rni_path=rni_path,
     )

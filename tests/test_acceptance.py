@@ -171,6 +171,9 @@ def test_criterion_5_property_suite():
     for i, inst in enumerate(property_corpus()):
         gamma = inst.gamma
         report = approx_report(inst)
+        if report.partial:
+            violations.append((i, f"skipped {report.skipped}"))
+            continue
         for bc in report.bounds:
             if bc.verdict == "FAIL":
                 violations.append((i, bc))
@@ -188,15 +191,12 @@ def test_criterion_5_property_suite():
             violations.append((i, "below-cut condition"))
         if z.b >= gamma:
             violations.append((i, "above-cut condition"))
-        rni = solve_rni(inst)
-        rni_path = solve_rni_path(inst)
-        if not certify(inst, rni, kind="arc").passed:
+        if not certify(inst, z.rni, kind="arc").passed:
             violations.append((i, "arc certificate"))
-        if not certify(inst, rni_path, kind="path").passed:
+        if not certify(inst, z.rni_path, kind="path").passed:
             violations.append((i, "path certificate"))
-        if adaptive_by_scenarios(inst, rni.flow_witness) != adaptive_by_cuts(
-            inst, rni.flow_witness
-        ):
+        witness = z.rni.flow_witness
+        if adaptive_by_scenarios(inst, witness) != adaptive_by_cuts(inst, witness):
             violations.append((i, "adaptive value oracles disagree"))
     assert not violations, violations[:10]
     elapsed = time.monotonic() - started
@@ -244,9 +244,9 @@ def test_criterion_7_parametric_model_oracle():
     for inst in instances:
         sol = solve_lo(inst)
         best, _ = theta_sweep(inst)
-        assert abs(float(sol.value - best)) <= 1e-7, inst
+        assert sol.value == best, inst
     elapsed = time.monotonic() - started
     print(
-        f"[criterion 7] LP value equals the theta-sweep oracle on "
+        f"[criterion 7] exact value equals the theta-sweep oracle on "
         f"{len(instances)} instances: PASS ({elapsed:.1f}s)"
     )

@@ -9,7 +9,6 @@ from interdict.linopt import (
     NumericalFailure,
     kkt_report,
     solve_lp,
-    solve_lp_lexicographic,
 )
 
 
@@ -162,34 +161,6 @@ class TestBasics:
         prob.add_row({j: 1 for j in range(6)}, "<=", 3)
         with pytest.raises(NumericalFailure):
             solve_lp(prob, max_iterations=1)
-
-
-class TestLexicographic:
-    def test_tie_broken_toward_secondary(self):
-        prob = LpProblem(2)
-        prob.set_objective({0: 1, 1: 1})
-        prob.add_row({0: 1, 1: 1}, "<=", 2)
-        prob.set_bounds(0, 0, 2)
-        prob.set_bounds(1, 0, 2)
-        sol = solve_lp_lexicographic(prob, {1: 1})
-        assert sol.objective == pytest.approx(2)
-        assert sol.x[0] == pytest.approx(0, abs=1e-7)
-        assert sol.x[1] == pytest.approx(2)
-
-    def test_unique_optimum_unchanged(self):
-        prob = LpProblem(2)
-        prob.set_objective({0: 2, 1: 1})
-        prob.add_row({0: 1, 1: 1}, "<=", 1)
-        plain = solve_lp(prob)
-        tied = solve_lp_lexicographic(prob, {1: 1})
-        assert tied.objective == pytest.approx(plain.objective)
-        assert tied.x[0] == pytest.approx(1)
-        assert tied.x[1] == pytest.approx(0, abs=1e-7)
-
-    def test_infeasible_passthrough(self):
-        prob = LpProblem(1)
-        prob.add_row({0: 1}, "<=", -2)
-        assert solve_lp_lexicographic(prob, {0: 1}).status == "infeasible"
 
 
 class TestProperties:

@@ -18,6 +18,24 @@ def single_arc(cap=5):
     return Instance(2, 1, 2, (Arc(1, 2, Fraction(cap)),), 1)
 
 
+def seeded(gamma, divisors, seed):
+    """random_instance with arc k's capacity divided by
+    divisors[k % len(divisors)]; (3, 7, 11) mixes the denominators."""
+    inst = random_instance(nodes=6, arcs=10, cap_max=9, gamma=gamma, seed=seed)
+    arcs = tuple(
+        Arc(a.tail, a.head, a.capacity / divisors[k % len(divisors)])
+        for k, a in enumerate(inst.arcs)
+    )
+    return Instance(inst.node_count, inst.source, inst.sink, arcs, gamma)
+
+
+# (gamma, capacity divisors): the integer corpus keeps its plain ids; the
+# "-mixed" inputs give lo_cuts' epsilon a denominator LCM D > 1.
+GAMMAS = [pytest.param(g, (1,), id=str(g)) for g in (1, 2, 3)] + [
+    pytest.param(g, (3, 7, 11), id=f"{g}-mixed") for g in (1, 2, 3)
+]
+
+
 class TestLoValueAt:
     def test_fig2a_theta_one(self):
         assert lo_value_at(fig2a(6, 2), 1) == 1  # 3*1 - 2*1
@@ -69,13 +87,13 @@ class TestSolveLo:
             assert lo_value_at(inst, sol.theta_star + eps) < sol.value
 
     @pytest.mark.parametrize("seed", range(15))
-    @pytest.mark.parametrize("gamma", [1, 2, 3])
-    def test_matches_theta_sweep_oracle(self, seed, gamma):
-        inst = random_instance(nodes=6, arcs=10, cap_max=9, gamma=gamma, seed=700 + seed)
+    @pytest.mark.parametrize("gamma, divisors", GAMMAS)
+    def test_matches_theta_sweep_oracle(self, seed, gamma, divisors):
+        inst = seeded(gamma, divisors, 700 + seed)
         sol = solve_lo(inst)
         best, best_theta = theta_sweep(inst)
-        assert abs(float(sol.value - best)) <= 1e-7
-        assert abs(float(sol.theta_star - best_theta)) <= 1e-6
+        assert sol.value == best
+        assert sol.theta_star == best_theta
 
 
 class TestLoCuts:
@@ -110,9 +128,9 @@ class TestLoCuts:
         assert s_dbl.capacity_at_theta == sol.flow_value
 
     @pytest.mark.parametrize("seed", range(15))
-    @pytest.mark.parametrize("gamma", [1, 2, 3])
-    def test_conditions_on_random_instances(self, seed, gamma):
-        inst = random_instance(nodes=6, arcs=10, cap_max=9, gamma=gamma, seed=800 + seed)
+    @pytest.mark.parametrize("gamma, divisors", GAMMAS)
+    def test_conditions_on_random_instances(self, seed, gamma, divisors):
+        inst = seeded(gamma, divisors, 800 + seed)
         sol = solve_lo(inst)
         s_prime, s_dbl = lo_cuts(inst, sol)
         if sol.theta_star > 0:

@@ -10,8 +10,6 @@ from interdict.game import (
     ScenarioLimitExceeded,
     adaptive_value,
     expected_payoff,
-    payoff_arc,
-    scenarios,
 )
 from interdict.instances import fig1, fig2a, fig2b, random_instance
 from interdict.solvers import (
@@ -21,7 +19,6 @@ from interdict.solvers import (
     certify,
     certify_gamma1,
     gamma1_residuals,
-    gamma1_strategy,
     solve_ni,
     solve_rni,
     solve_rni_gamma1,
