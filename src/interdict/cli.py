@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .game import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
-    CutLimitExceeded,
     ScenarioLimitExceeded,
 )
 from .graph import PathLimitExceeded
@@ -32,7 +31,6 @@ from .instances import (
 from .linopt import NumericalFailure
 from .lomodel import approx_report, solve_lo
 from .solvers import (
-    DEFAULT_LP_SCENARIO_LIMIT,
     DEFAULT_PATH_LIMIT,
     GammaMismatch,
     certify,
@@ -51,14 +49,13 @@ PROB_PRINT_FLOOR = 1e-9
 @dataclass
 class CliConfig:
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT
-    lp_scenario_limit: int = DEFAULT_LP_SCENARIO_LIMIT
     path_limit: int = DEFAULT_PATH_LIMIT
     cut_limit: int = DEFAULT_CUT_LIMIT
     tolerance: float = 1e-6
     output: str = "table"
 
     def __post_init__(self):
-        for name in ("scenario_limit", "lp_scenario_limit", "path_limit", "cut_limit"):
+        for name in ("scenario_limit", "path_limit", "cut_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.tolerance < 1:
@@ -78,7 +75,6 @@ def config_from(args) -> CliConfig:
     """Precedence: command-line flag, then INTERDICT_* env var, then default."""
     return CliConfig(
         scenario_limit=_setting(args, "scenario_limit", DEFAULT_SCENARIO_LIMIT),
-        lp_scenario_limit=_setting(args, "lp_scenario_limit", DEFAULT_LP_SCENARIO_LIMIT),
         path_limit=_setting(args, "path_limit", DEFAULT_PATH_LIMIT),
         cut_limit=_setting(args, "cut_limit", DEFAULT_CUT_LIMIT),
         tolerance=_setting(args, "tolerance", 1e-6, parse=float),
@@ -111,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="instance file, or - for stdin")
         p.add_argument("--json", action="store_true")
         p.add_argument("--scenario-limit", type=int, dest="scenario_limit")
-        p.add_argument("--lp-scenario-limit", type=int, dest="lp_scenario_limit")
         p.add_argument("--path-limit", type=int, dest="path_limit")
         p.add_argument("--cut-limit", type=int, dest="cut_limit")
         p.add_argument("--tolerance", type=float)
@@ -246,7 +241,7 @@ def cmd_solve(args) -> int:
     elif model == "rni":
         sol = solve_rni(
             instance,
-            lp_scenario_limit=config.lp_scenario_limit,
+            scenario_limit=config.scenario_limit,
             cut_limit=config.cut_limit,
         )
         value = sol.value
@@ -264,7 +259,7 @@ def cmd_solve(args) -> int:
         sol = solve_rni_path(
             instance,
             path_limit=config.path_limit,
-            lp_scenario_limit=config.lp_scenario_limit,
+            scenario_limit=config.scenario_limit,
         )
         value = sol.value
         strategy = sol.strategy
@@ -333,7 +328,6 @@ def cmd_report(args) -> int:
         instance,
         tolerance=config.tolerance,
         scenario_limit=config.scenario_limit,
-        lp_scenario_limit=config.lp_scenario_limit,
         path_limit=config.path_limit,
         cut_limit=config.cut_limit,
     )
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
         return cmd_report(args)
     except (ParseError, SpecInvalid, GammaMismatch, ValueError, OSError) as exc:
         return fail(1, "input", exc)
-    except (ScenarioLimitExceeded, PathLimitExceeded, CutLimitExceeded) as exc:
+    except (ScenarioLimitExceeded, PathLimitExceeded) as exc:
         return fail(2, "limit", exc)
     except NumericalFailure as exc:
         return fail(3, "numerical", exc)

@@ -5,10 +5,12 @@ flow re-routable inside the committed arc flow once the removed arcs are
 gone; the path-based payoff is the committed path flow surviving removal
 (a path dies if any of its arcs is removed).  Both are evaluated exactly.
 
-worst_removal is the one exact best response to a set of arc weights, used
-on the capacities for the deterministic value and on a committed flow for
-its adaptive value.  It enumerates either the C(m, gamma) scenarios or the
-2^(n-2) s-t cuts, whichever are fewer among those within their limits.
+removal_candidates is the one enumeration of the interdictor's responses to
+a set of arc weights: either the C(m, gamma) scenarios or the 2^(n-2) s-t
+cuts, whichever are fewer among those within their limits.  worst_removal,
+its first minimizer, is the exact best response, used on the capacities for
+the deterministic value and on a committed flow for its adaptive value;
+solvers.solve_rni draws its rows from the same enumeration.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import fmean
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .graph import (
     ArcFlow,
@@ -37,10 +38,6 @@ DEFAULT_CUT_LIMIT = 4096  # node_count - 2 <= 12
 
 class ScenarioLimitExceeded(Exception):
     """The scenario count puts exact enumeration out of desk-scale range."""
-
-
-class CutLimitExceeded(Exception):
-    """Too many s-t cuts for exhaustive cut enumeration."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +152,42 @@ def _payoff(instance, scenario, flow):
     return payoff_path(instance, scenario, flow)
 
 
+def removal_candidates(
+    instance: Instance,
+    weights: Mapping[int, Fraction],
+    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
+    cut_limit: int = DEFAULT_CUT_LIMIT,
+) -> Iterator[tuple[Fraction, Scenario, Optional[tuple[int, ...]]]]:
+    """The interdictor's candidate responses to the arc weights, in a fixed
+    order, as (payoff, scenario, kept); the least payoff is the exact best
+    response.
+
+    By max-flow/min-cut the least payoff_arc over all scenarios is, over
+    all s-t cuts, the crossing weight minus its gamma largest arcs.
+    Whichever of the scenarios and the cuts are fewer among those within
+    their limits get enumerated, the cuts on a tie.  A cut yields the
+    weight of its crossing arcs kept after removing the gamma heaviest,
+    those kept arcs, and Scenario.covering of the removed ones; a scenario
+    yields its payoff_arc, itself, and kept=None.
+    """
+    nscen, ncuts = scenario_count(instance), cut_count(instance)
+    if ncuts <= cut_limit and (ncuts <= nscen or nscen > scenario_limit):
+        gamma = instance.gamma
+        for _, crossing in iter_cuts(instance):
+            ranked = sorted(crossing, key=lambda aid: (-weights.get(aid, 0), aid))
+            kept = tuple(ranked[gamma:])
+            value = sum((weights.get(aid, 0) for aid in kept), start=Fraction(0))
+            yield value, Scenario.covering(instance, ranked[:gamma]), kept
+        return
+    if nscen > scenario_limit:
+        raise ScenarioLimitExceeded(
+            f"{nscen} scenarios exceed the limit of {scenario_limit} and "
+            f"{ncuts} cuts exceed the limit of {cut_limit}"
+        )
+    for scenario in scenarios(instance, limit=scenario_limit):
+        yield payoff_arc(instance, scenario, weights)[0], scenario, None
+
+
 def worst_removal(
     instance: Instance,
     weights: Mapping[int, Fraction],
@@ -162,35 +195,11 @@ def worst_removal(
     cut_limit: int = DEFAULT_CUT_LIMIT,
 ) -> tuple[Fraction, Scenario]:
     """The interdictor's exact best response to the arc weights: the least
-    payoff_arc over all scenarios, and a scenario attaining it.
-
-    By max-flow/min-cut the same least value is, over all s-t cuts, the
-    crossing weight minus its gamma largest arcs.  Whichever of the
-    scenarios and the cuts are fewer among those within their limits get
-    enumerated, the cuts on a tie; the first minimizer wins.
-    """
-    nscen, ncuts = scenario_count(instance), cut_count(instance)
-    if ncuts <= cut_limit and (ncuts <= nscen or nscen > scenario_limit):
-        gamma = instance.gamma
-        best = None
-        for _, crossing in iter_cuts(instance):
-            ranked = sorted(crossing, key=lambda aid: (-weights.get(aid, 0), aid))
-            kept = (weights.get(aid, 0) for aid in ranked[gamma:])
-            value = sum(kept, start=Fraction(0))
-            if best is None or value < best[0]:
-                best = (value, ranked[:gamma])
-        return best[0], Scenario.covering(instance, best[1])
-    if nscen > scenario_limit:
-        raise ScenarioLimitExceeded(
-            f"{nscen} scenarios exceed the limit of {scenario_limit} and "
-            f"{ncuts} cuts exceed the limit of {cut_limit}"
-        )
-    best = None
-    for scenario in scenarios(instance, limit=scenario_limit):
-        value, _ = payoff_arc(instance, scenario, weights)
-        if best is None or value < best[0]:
-            best = (value, scenario)
-    return best
+    payoff_arc over all scenarios, and a scenario attaining it (the first
+    minimizer among removal_candidates)."""
+    candidates = removal_candidates(instance, weights, scenario_limit, cut_limit)
+    value, scenario, _ = min(candidates, key=lambda candidate: candidate[0])
+    return value, scenario
 
 
 def adaptive_value(
@@ -237,17 +246,19 @@ def estimate_expected_payoff(
     for _, prob in alpha.support:
         acc += prob
         cumulative.append(acc)
-    payoffs = [float(_payoff(instance, s, flow)) for s, _ in alpha.support]
+    # each payoff is rounded to float once; the moments of the draws are
+    # then exact, so identical draws give their own value and no error
+    payoffs = [Fraction(float(_payoff(instance, s, flow))) for s, _ in alpha.support]
     rng = random.Random(seed)
-    draws = []
+    counts = [0] * len(payoffs)
     for _ in range(samples):
         u = rng.random()
         idx = 0
         while idx < len(cumulative) - 1 and u >= cumulative[idx]:
             idx += 1
-        draws.append(payoffs[idx])
-    mean = fmean(draws)
+        counts[idx] += 1
+    mean = sum(c * p for c, p in zip(counts, payoffs)) / samples
     if samples == 1:
-        return mean, 0.0
-    var = sum((d - mean) ** 2 for d in draws) / (samples - 1)
-    return mean, math.sqrt(var / samples)
+        return float(mean), 0.0
+    var = sum(c * (p - mean) ** 2 for c, p in zip(counts, payoffs)) / (samples - 1)
+    return float(mean), math.sqrt(var / samples)

@@ -25,7 +25,6 @@ from typing import Optional
 from .game import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
-    CutLimitExceeded,
     ScenarioLimitExceeded,
 )
 from .graph import (
@@ -39,7 +38,6 @@ from .graph import (
     min_cut,
 )
 from .solvers import (
-    DEFAULT_LP_SCENARIO_LIMIT,
     DEFAULT_PATH_LIMIT,
     RniSolution,
     solve_ni,
@@ -244,7 +242,6 @@ def approx_report(
     instance: Instance,
     tolerance: float = 1e-6,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    lp_scenario_limit: int = DEFAULT_LP_SCENARIO_LIMIT,
     path_limit: int = DEFAULT_PATH_LIMIT,
     cut_limit: int = DEFAULT_CUT_LIMIT,
 ) -> ApproxReport:
@@ -267,17 +264,15 @@ def approx_report(
         z_ni = float(
             solve_ni(instance, scenario_limit=scenario_limit, cut_limit=cut_limit).value
         )
-    except (ScenarioLimitExceeded, CutLimitExceeded):
+    except ScenarioLimitExceeded:
         skipped.append("ni")
     try:
-        rni = solve_rni(
-            instance, lp_scenario_limit=lp_scenario_limit, cut_limit=cut_limit
-        )
-    except (ScenarioLimitExceeded, CutLimitExceeded):
+        rni = solve_rni(instance, scenario_limit=scenario_limit, cut_limit=cut_limit)
+    except ScenarioLimitExceeded:
         skipped.append("rni")
     try:
         rni_path = solve_rni_path(
-            instance, path_limit=path_limit, lp_scenario_limit=lp_scenario_limit
+            instance, path_limit=path_limit, scenario_limit=scenario_limit
         )
     except (ScenarioLimitExceeded, PathLimitExceeded):
         skipped.append("rni_path")

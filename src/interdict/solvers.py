@@ -10,18 +10,14 @@ interdictor's exact best response (game.worst_removal, the same oracle
 solve_ni applies to the capacities) and the strategy against an exact
 best-response LP.
 
-solve_rni carries two interchangeable exact formulations:
-
-* "scenario": one inner flow per scenario coupled to the committed flow,
-  with the strategy read off the per-scenario duals.  Size grows with
-  |scenarios| * |arcs|, so it is the default only at small sizes.
-* "cuts": one block per s-t cut bounding the survivable crossing flow,
-  with the sum of the gamma largest crossing values linearized through a
-  per-cut threshold variable.  Per-cut removal marginals come from the
-  duals and are decomposed into scenarios by systematic sampling.
-
-Both routes return certified-equal values (property-tested); the cut route
-keeps instances with many scenarios but few nodes at desk scale.
+Both RNI values come from one constraint-generation loop
+(_row_generation).  Each is a maximum over the flow player's variables of
+the least payoff over gamma-arc removals, and by max-flow/min-cut a
+removal's payoff is bounded by the committed flow over any cut minus the
+removed arcs: an LP with one row per candidate response, of which only the
+few binding at the optimum are needed.  The loop grows a small master LP
+with the rows of the responses its current point violates, taken from the
+interdictor's exact enumeration, and reads the strategy off the row duals.
 """
 
 from __future__ import annotations
@@ -29,19 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .game import (
     DEFAULT_CUT_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
-    CutLimitExceeded,
     MixedStrategy,
     Scenario,
-    ScenarioLimitExceeded,
     adaptive_value,
     payoff_arc,
     payoff_path,
-    scenario_count,
+    removal_candidates,
     scenarios,
     worst_removal,
 )
@@ -49,18 +43,12 @@ from .graph import (
     ArcFlow,
     Instance,
     PathFlow,
-    cut_count,
     enumerate_paths,
-    iter_cuts,
+    min_cut,
 )
 from .linopt import LpProblem, solve_lp
 
-DEFAULT_LP_SCENARIO_LIMIT = 2000
 DEFAULT_PATH_LIMIT = 20000
-# beyond this estimated row count the dense kernel is no longer desk scale
-LP_ROW_CAP = 8000
-# largest scenario-formulation row count before auto prefers the cut route
-SCENARIO_LP_AUTO_ROWS = 400
 
 
 class GammaMismatch(Exception):
@@ -79,7 +67,6 @@ class RniSolution:
     value: float
     strategy: MixedStrategy
     flow_witness: Union[ArcFlow, PathFlow]
-    scenario_flows: Optional[dict[Scenario, ArcFlow]] = None
     method: str = ""
 
 
@@ -106,6 +93,25 @@ def _arc_flow_from_lp(instance, values) -> ArcFlow:
         if v > 1e-12:
             cleaned[aid] = Fraction(v)
     return ArcFlow.from_values(instance, cleaned)
+
+
+def _path_flow_from_lp(paths, values) -> PathFlow:
+    return PathFlow(
+        entries=tuple(
+            (path, Fraction(float(v))) for path, v in zip(paths, values) if v > 1e-12
+        )
+    )
+
+
+def _add_path_capacities(lp, instance, paths):
+    """Each arc's capacity bounds the flow on the paths (columns 0..)
+    through it."""
+    loads: dict[int, dict[int, float]] = {}
+    for p, path in enumerate(paths):
+        for aid in path:
+            loads.setdefault(aid, {})[p] = 1.0
+    for aid, coeffs in sorted(loads.items()):
+        lp.add_row(coeffs, "<=", float(instance.effective_capacity(aid)))
 
 
 def _add_conservation(lp, instance, col_of):
@@ -149,226 +155,134 @@ def _add_scenario_flow(lp, instance, scenario, base):
     return ycol
 
 
-def _rni_scenario_lp(instance, scens):
-    """One coupled inner flow per scenario; strategy from the duals of the
-    value-coupling rows."""
-    m = instance.arc_count
-    sink_in = list(instance.in_ids(instance.sink))
-    lp = LpProblem(m + 1 + m * len(scens), sense="max")
-    z = m
-    lp.set_objective({z: 1.0})
-    for aid in instance.arc_ids():
-        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
-    _add_conservation(lp, instance, lambda aid: aid - 1)
-    value_rows = []
-    for k, scenario in enumerate(scens):
-        ycol = _add_scenario_flow(lp, instance, scenario, m + 1 + k * m)
-        row = lp.add_row(
-            {z: 1.0, **{ycol(aid): -1.0 for aid in sink_in}}, "<=", 0.0
-        )
-        value_rows.append(row)
-    sol = solve_lp(lp)
-    witness = _arc_flow_from_lp(instance, sol.x[:m])
+def _row_generation(instance, master, candidates):
+    """Maximize the master LP's last column z over the flow player's other
+    columns, subject to one row z <= (sum of the columns a response leaves
+    alive) per interdictor response generated so far.
+
+    candidates(x) scores every response at the master's point x (None
+    before the first solve: score at the capacities) and yields
+    (payoff, scenario, alive); alive() gives the columns the response
+    leaves alive and is called only for the rows considered.  Each round
+    adds the rows of at most m (the arc count) violated responses, most
+    violated first, skipping rows already in the master, and stops when no
+    new row is violated by more than 1e-9 (1 + |z|).  A repeated row cannot cut off the current point and
+    the rows are finitely many, so the loop ends.  Returns the last LP
+    solution and the mixed strategy of the rows' duals.
+    """
+    z = master.num_vars - 1
+    master.set_objective({z: 1.0})
+    master.set_bounds(z, -math.inf, math.inf)  # free: the row duals sum to 1
+    rows: dict[frozenset, tuple[int, Scenario]] = {}
+    sol = None
+    while True:
+        found = list(candidates(None if sol is None else sol.x))
+        if sol is not None:
+            floor = sol.objective - 1e-9 * (1.0 + abs(sol.objective))
+            found = [c for c in found if c[0] < floor]
+        found.sort(key=lambda c: c[0])
+        added = 0
+        for _, scenario, alive in found:
+            if added == instance.arc_count:
+                break
+            alive = frozenset(alive())
+            if alive in rows:
+                continue
+            coeffs = {z: 1.0, **{j: -1.0 for j in alive}}
+            rows[alive] = (master.add_row(coeffs, "<=", 0.0), scenario)
+            added += 1
+        if not added:
+            break
+        sol = solve_lp(master)
     strategy = MixedStrategy.normalized(
-        (scens[k], max(0.0, float(sol.duals[row])))
-        for k, row in enumerate(value_rows)
+        (scenario, max(0.0, float(sol.duals[row]))) for row, scenario in rows.values()
     )
-    flows = {}
-    for k, scenario in enumerate(scens):
-        base = m + 1 + k * m
-        flows[scenario] = _arc_flow_from_lp(instance, sol.x[base : base + m])
-    return sol.objective, strategy, witness, flows
-
-
-def _madow_mixture(arc_ids, marginals, gamma):
-    """Decompose per-arc removal marginals (each in [0,1], summing to at
-    most gamma) into a mixture of at-most-gamma-arc subsets with those
-    marginals, by systematic sampling: the subset map u -> selection is
-    piecewise constant on [0,1), so the mixture is read off the
-    breakpoints exactly."""
-    cums = [0.0]
-    for p in marginals:
-        cums.append(cums[-1] + p)
-    breaks = {0.0, 1.0}
-    for c in cums:
-        breaks.add(c - math.floor(c))
-    points = sorted(breaks)
-    mixture = []
-    for lo, hi in zip(points, points[1:]):
-        width = hi - lo
-        if width <= 1e-15:
-            continue
-        u = (lo + hi) / 2.0
-        chosen = [
-            arc_ids[i]
-            for i in range(len(arc_ids))
-            if math.ceil(cums[i + 1] - u) - math.ceil(cums[i] - u) >= 1
-        ]
-        if len(chosen) > gamma:  # float fuzz on a breakpoint
-            chosen = chosen[:gamma]
-        mixture.append((tuple(chosen), width))
-    return mixture
-
-
-def _rni_cut_lp(instance, cut_limit):
-    """Cut formulation: for each cut, the survivable crossing flow bounds
-    the value; the gamma-largest-arcs term is linearized with a per-cut
-    threshold and per-arc overflow variables."""
-    if cut_count(instance) > cut_limit:
-        raise CutLimitExceeded(f"{cut_count(instance)} cuts exceed {cut_limit}")
-    cuts = list(iter_cuts(instance))
-    m = instance.arc_count
-    gamma = instance.gamma
-    est_rows = len(instance.internal_nodes()) + sum(len(c) + 1 for _, c in cuts)
-    if est_rows > LP_ROW_CAP:
-        raise CutLimitExceeded(
-            f"cut formulation needs ~{est_rows} rows, beyond desk scale"
-        )
-    ncols = m + 1 + sum(1 + len(crossing) for _, crossing in cuts)
-    lp = LpProblem(ncols, sense="max")
-    z = m
-    lp.set_objective({z: 1.0})
-    for aid in instance.arc_ids():
-        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
-    _add_conservation(lp, instance, lambda aid: aid - 1)
-    col = m + 1
-    cut_rows = []  # (value_row, crossing, [overflow_row per arc])
-    for _, crossing in cuts:
-        t_col = col
-        s_cols = {aid: col + 1 + i for i, aid in enumerate(crossing)}
-        col += 1 + len(crossing)
-        coeffs = {z: 1.0, t_col: float(gamma)}
-        for aid in crossing:
-            coeffs[aid - 1] = coeffs.get(aid - 1, 0.0) - 1.0
-            coeffs[s_cols[aid]] = 1.0
-        value_row = lp.add_row(coeffs, "<=", 0.0)
-        overflow_rows = []
-        for aid in crossing:
-            overflow_rows.append(
-                lp.add_row({aid - 1: 1.0, t_col: -1.0, s_cols[aid]: -1.0}, "<=", 0.0)
-            )
-        cut_rows.append((value_row, crossing, overflow_rows))
-    sol = solve_lp(lp)
-    witness = _arc_flow_from_lp(instance, sol.x[:m])
-    pairs = []
-    for value_row, crossing, overflow_rows in cut_rows:
-        lam = float(sol.duals[value_row])
-        if lam <= 1e-12:
-            continue
-        marginals = []
-        for aid, row in zip(crossing, overflow_rows):
-            marginals.append(min(1.0, max(0.0, float(sol.duals[row]) / lam)))
-        total = sum(marginals)
-        if total > gamma:
-            marginals = [p * gamma / total for p in marginals]
-        for chosen, width in _madow_mixture(list(crossing), marginals, gamma):
-            pairs.append((Scenario.covering(instance, chosen), lam * width))
-    strategy = MixedStrategy.normalized(pairs)
-    return sol.objective, strategy, witness
+    return sol, strategy
 
 
 def solve_rni(
     instance: Instance,
-    lp_scenario_limit: int = DEFAULT_LP_SCENARIO_LIMIT,
+    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
     cut_limit: int = DEFAULT_CUT_LIMIT,
-    method: str = "auto",
 ) -> RniSolution:
     """Randomized value in the arc-based payoff model, with an optimal
     mixed removal strategy and a committed-flow witness.
 
-    "auto" uses the scenario formulation while it stays small and the cut
-    formulation otherwise; see the module docstring.  Witness-side inner
-    flows are attached for the support scenarios as diagnostics.
+    The master is the arc flow x plus z; each response's row bounds z by
+    x over a cut minus the removed arcs.  The responses are
+    game.removal_candidates: on the cut route a row is the enumerated
+    cut's kept arcs; on the scenario route it is the min cut left within x
+    after the scenario, computed only for the rows added.
     """
-    nscen = scenario_count(instance)
     m = instance.arc_count
-    if method == "auto":
-        est_rows = (
-            len(instance.internal_nodes()) * (1 + nscen)
-            + nscen * (m - instance.gamma + 1)
-        )
-        if nscen <= lp_scenario_limit and est_rows <= SCENARIO_LP_AUTO_ROWS:
-            method = "scenario"
-        elif cut_count(instance) <= cut_limit:
-            method = "cuts"
-        elif nscen <= lp_scenario_limit:
-            method = "scenario"
-        else:
-            raise ScenarioLimitExceeded(
-                f"{nscen} scenarios exceed the LP limit of {lp_scenario_limit} "
-                f"and {cut_count(instance)} cuts exceed {cut_limit}"
-            )
-    if method == "scenario":
-        scens = scenarios(instance, limit=lp_scenario_limit)
-        value, strategy, witness, flows = _rni_scenario_lp(instance, scens)
-        return RniSolution(
-            value=value,
-            strategy=strategy,
-            flow_witness=witness,
-            scenario_flows=flows,
-            method="scenario",
-        )
-    if method != "cuts":
-        raise ValueError(f"unknown method {method!r}")
-    value, strategy, witness = _rni_cut_lp(instance, cut_limit)
-    flows = {
-        scenario: payoff_arc(instance, scenario, witness.values)[1]
-        for scenario, _ in strategy.support
-    }
+    caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
+    master = LpProblem(m + 1, sense="max")
+    for aid in instance.arc_ids():
+        master.set_bounds(aid - 1, 0.0, float(caps[aid]))
+    _add_conservation(master, instance, lambda aid: aid - 1)
+
+    def cut_after(scenario, weights):
+        removed = scenario.removed_set
+        survivors = {aid: w for aid, w in weights.items() if aid not in removed}
+        crossing = min_cut(instance, survivors).crossing
+        return [aid - 1 for aid in crossing if aid not in removed]
+
+    def candidates(x):
+        weights = caps
+        if x is not None:
+            weights = {a: float(v) for a, v in zip(instance.arc_ids(), x) if v > 1e-12}
+        for payoff, scenario, kept in removal_candidates(
+            instance, weights, scenario_limit, cut_limit
+        ):
+            if kept is None:
+                yield payoff, scenario, lambda s=scenario: cut_after(s, weights)
+            else:
+                yield payoff, scenario, lambda kept=kept: [aid - 1 for aid in kept]
+
+    sol, strategy = _row_generation(instance, master, candidates)
     return RniSolution(
-        value=value,
+        value=sol.objective,
         strategy=strategy,
-        flow_witness=witness,
-        scenario_flows=flows,
-        method="cuts",
+        flow_witness=_arc_flow_from_lp(instance, sol.x[:m]),
+        method="arc",
     )
 
 
 def solve_rni_path(
     instance: Instance,
     path_limit: int = DEFAULT_PATH_LIMIT,
-    lp_scenario_limit: int = DEFAULT_LP_SCENARIO_LIMIT,
+    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> RniSolution:
-    """Randomized value in the path-based payoff model: maximize the
-    worst-case surviving path flow, one survival row per scenario; the
-    strategy is read from those rows' duals."""
+    """Randomized value in the path-based payoff model, by the same row
+    generation as solve_rni: the master is one column per s-t path under
+    the arc capacities plus z, and each scenario's row bounds z by the
+    paths that survive it."""
     paths = enumerate_paths(instance, limit=path_limit)
-    scens = scenarios(instance, limit=lp_scenario_limit)
+    scens = scenarios(instance, limit=scenario_limit)
     npaths = len(paths)
-    lp = LpProblem(npaths + 1, sense="max")
-    z = npaths
-    lp.set_objective({z: 1.0})
-    loads: dict[int, dict[int, float]] = {}
-    for p, path in enumerate(paths):
-        for aid in path:
-            loads.setdefault(aid, {})[p] = loads.get(aid, {}).get(p, 0.0) + 1.0
-    for aid, coeffs in sorted(loads.items()):
-        lp.add_row(dict(coeffs), "<=", float(instance.effective_capacity(aid)))
-    value_rows = []
-    for scenario in scens:
-        removed = scenario.removed_set
-        coeffs = {z: 1.0}
-        for p, path in enumerate(paths):
-            if not removed.intersection(path):
-                coeffs[p] = -1.0
-        value_rows.append(lp.add_row(coeffs, "<=", 0.0))
-    sol = solve_lp(lp)
-    entries = []
-    for p, path in enumerate(paths):
-        amount = float(sol.x[p])
-        if amount > 1e-12:
-            entries.append((path, Fraction(amount)))
-    witness = PathFlow(entries=tuple(entries))
-    strategy = MixedStrategy.normalized(
-        (scens[k], max(0.0, float(sol.duals[row])))
-        for k, row in enumerate(value_rows)
-    )
+    master = LpProblem(npaths + 1, sense="max")
+    _add_path_capacities(master, instance, paths)
+    # before the first solve each path is scored at its own bottleneck
+    bottlenecks = [
+        float(min(instance.effective_capacity(aid) for aid in path)) for path in paths
+    ]
+
+    def candidates(x):
+        flow = bottlenecks if x is None else [float(v) for v in x[:npaths]]
+        support = [(path, f) for path, f in zip(paths, flow) if f > 1e-12]
+        for scenario in scens:
+            removed = scenario.removed_set
+            payoff = sum(f for path, f in support if removed.isdisjoint(path))
+            yield payoff, scenario, lambda removed=removed: [
+                p for p, path in enumerate(paths) if removed.isdisjoint(path)
+            ]
+
+    sol, strategy = _row_generation(instance, master, candidates)
     return RniSolution(
         value=sol.objective,
         strategy=strategy,
-        flow_witness=witness,
-        scenario_flows=None,
-        method="path-lp",
+        flow_witness=_path_flow_from_lp(paths, sol.x),
+        method="path",
     )
 
 
@@ -508,19 +422,9 @@ def best_response_path(
         )
         weights.append(w)
     lp.set_objective({p: w for p, w in enumerate(weights)})
-    loads: dict[int, dict[int, float]] = {}
-    for p, path in enumerate(paths):
-        for aid in path:
-            loads.setdefault(aid, {})[p] = 1.0
-    for aid, coeffs in sorted(loads.items()):
-        lp.add_row(dict(coeffs), "<=", float(instance.effective_capacity(aid)))
+    _add_path_capacities(lp, instance, paths)
     sol = solve_lp(lp)
-    entries = tuple(
-        (path, Fraction(float(sol.x[p])))
-        for p, path in enumerate(paths)
-        if float(sol.x[p]) > 1e-12
-    )
-    return sol.objective, PathFlow(entries=entries)
+    return sol.objective, _path_flow_from_lp(paths, sol.x)
 
 
 def _min_scenario_payoff_path(instance, flow, scenario_limit):

@@ -1,14 +1,18 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the library's LP path: they enumerate cuts and
-work in exact rational arithmetic, so they can vouch for the solvers.
+Most avoid the library's LP path: they enumerate cuts and work in exact
+rational arithmetic, so they can vouch for the solvers.  The two RNI
+references are complete LPs with one block or row per scenario, written
+up front, against which the solvers' row generation is checked.
 """
 
 from fractions import Fraction
 
-from interdict.game import adaptive_value
-from interdict.graph import iter_cuts
+from interdict.game import adaptive_value, scenarios
+from interdict.graph import enumerate_paths, iter_cuts
+from interdict.linopt import LpProblem, solve_lp
 from interdict.lomodel import lo_value_at
+from interdict.solvers import _add_conservation, _add_scenario_flow
 
 
 def adaptive_by_scenarios(instance, flow):
@@ -64,3 +68,38 @@ def theta_sweep(instance):
             best = value
             best_theta = theta
     return best, best_theta
+
+
+def rni_by_scenario_lp(instance):
+    """Z_RNI from the scenario-indexed LP: the committed flow x, the value
+    z, and one inner flow per scenario that survives it within x and
+    bounds z by its value."""
+    m = instance.arc_count
+    scens = scenarios(instance)
+    sink_in = list(instance.in_ids(instance.sink))
+    lp = LpProblem(m + 1 + m * len(scens), sense="max")
+    lp.set_objective({m: 1.0})
+    for aid in instance.arc_ids():
+        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
+    _add_conservation(lp, instance, lambda aid: aid - 1)
+    for k, scenario in enumerate(scens):
+        ycol = _add_scenario_flow(lp, instance, scenario, m + 1 + k * m)
+        lp.add_row({m: 1.0, **{ycol(aid): -1.0 for aid in sink_in}}, "<=", 0.0)
+    return solve_lp(lp).objective
+
+
+def rni_path_by_scenario_lp(instance):
+    """Z_RNI^Path from the path LP with one survival row per scenario."""
+    paths = enumerate_paths(instance, limit=20000)
+    z = len(paths)
+    lp = LpProblem(z + 1, sense="max")
+    lp.set_objective({z: 1.0})
+    for aid in instance.arc_ids():
+        through = {p: 1.0 for p, path in enumerate(paths) if aid in path}
+        if through:
+            lp.add_row(through, "<=", float(instance.effective_capacity(aid)))
+    for scenario in scenarios(instance):
+        removed = scenario.removed_set
+        alive = {p: -1.0 for p, path in enumerate(paths) if removed.isdisjoint(path)}
+        lp.add_row({z: 1.0, **alive}, "<=", 0.0)
+    return solve_lp(lp).objective

@@ -114,7 +114,7 @@ class TestSolve:
     def test_limit_exit_two(self, fig2a_file, capsys):
         code, _, stderr = run(
             capsys, "solve", "--model", "rni-path", fig2a_file,
-            "--lp-scenario-limit", "5",
+            "--scenario-limit", "5",
         )
         assert code == 2
         assert "exceed" in stderr
@@ -122,7 +122,7 @@ class TestSolve:
     def test_json_error_object(self, fig2a_file, capsys):
         code, stdout, _ = run(
             capsys, "solve", "--model", "rni-path", fig2a_file,
-            "--lp-scenario-limit", "5", "--json",
+            "--scenario-limit", "5", "--json",
         )
         assert code == 2
         payload = json.loads(stdout)
@@ -137,7 +137,7 @@ class TestSolve:
         assert "Z_NI = 4" in stdout
 
     def test_env_override(self, fig2a_file, capsys, monkeypatch):
-        monkeypatch.setenv("INTERDICT_LP_SCENARIO_LIMIT", "5")
+        monkeypatch.setenv("INTERDICT_SCENARIO_LIMIT", "5")
         code, _, _ = run(capsys, "solve", "--model", "rni-path", fig2a_file)
         assert code == 2
 
@@ -175,19 +175,19 @@ class TestReport:
         assert payload["partial"] is False
 
     def test_partial_flag_under_tiny_limits(self, fig2a_file, capsys):
-        # tiny scenario cap alone only blocks the path model; the arc model
-        # falls back to its cut formulation until that is capped as well
+        # a tiny scenario cap alone only blocks the path model: NI and the
+        # arc model enumerate cuts until those are capped as well
         code, stdout, _ = run(
-            capsys, "report", fig2a_file, "--lp-scenario-limit", "3", "--json"
+            capsys, "report", fig2a_file, "--scenario-limit", "3", "--json"
         )
         assert code == 0
         payload = json.loads(stdout)
         assert payload["partial"] is True
         assert set(payload["skipped"]) == {"rni_path"}
         code, stdout, _ = run(
-            capsys, "report", fig2a_file, "--lp-scenario-limit", "3",
+            capsys, "report", fig2a_file, "--scenario-limit", "3",
             "--cut-limit", "1", "--json",
         )
         assert code == 0
         payload = json.loads(stdout)
-        assert set(payload["skipped"]) == {"rni", "rni_path"}
+        assert set(payload["skipped"]) == {"ni", "rni", "rni_path"}

@@ -225,14 +225,17 @@ class TestMonteCarlo:
 
     def test_constant_payoffs_zero_error(self):
         inst = fig2a(2, 1)
-        x = balanced_fig_flow(inst, 2)
         alpha = MixedStrategy(
             ((Scenario((1,)), 0.25), (Scenario((2,)), 0.25),
              (Scenario((3,)), 0.25), (Scenario((4,)), 0.25))
         )
-        mean, se = estimate_expected_payoff(inst, alpha, x, samples=500, seed=1)
-        assert mean == pytest.approx(1.0)
-        assert se == 0.0
+        # a float sum of 10,000 draws of 0.9999999999999999 drifts below it
+        for scale, samples in ((1, 500), (Fraction(0.9999999999999999), 10_000)):
+            values = balanced_fig_flow(inst, 2).values
+            x = ArcFlow.from_values(inst, {aid: scale * v for aid, v in values.items()})
+            mean, se = estimate_expected_payoff(inst, alpha, x, samples=samples, seed=1)
+            assert mean == float(scale)
+            assert se == 0.0
 
     def test_within_four_standard_errors(self):
         inst = fig2a(2, 1)

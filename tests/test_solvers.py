@@ -24,6 +24,7 @@ from interdict.solvers import (
     solve_rni_gamma1,
     solve_rni_path,
 )
+from oracles import rni_by_scenario_lp, rni_path_by_scenario_lp
 
 
 def single_arc(cap=5):
@@ -111,14 +112,13 @@ class TestSolveNi:
 class TestSolveRni:
     def test_fig2a_both_methods(self):
         inst = fig2a(6, 2)
-        for method in ("scenario", "cuts"):
-            sol = solve_rni(inst, method=method)
-            assert sol.value == pytest.approx(2.0, abs=1e-7)
-            assert certify(inst, sol, kind="arc").passed
+        sol = solve_rni(inst)
+        assert sol.value == pytest.approx(2.0, abs=1e-7)
+        assert certify(inst, sol, kind="arc").passed
 
     def test_fig2a_strategy_is_uniform_over_unbounded_pairs(self):
         # symmetry forces the unique optimum here
-        sol = solve_rni(fig2a(6, 2), method="cuts")
+        sol = solve_rni(fig2a(6, 2))
         probs = {s.removed: p for s, p in sol.strategy.support}
         assert set(probs) == {(7, 8), (7, 9), (8, 9)}
         for p in probs.values():
@@ -135,26 +135,16 @@ class TestSolveRni:
         assert sol.value == pytest.approx(0.0, abs=1e-9)
         assert sol.strategy.support[0][0].removed == (1,)
 
-    def test_scenario_flows_are_consistent(self):
-        inst = fig2a(4, 1)
-        sol = solve_rni(inst, method="scenario")
-        for scenario, flow in sol.scenario_flows.items():
-            # every inner flow must support the guaranteed value
-            assert float(flow.value) >= sol.value - 1e-6
-            for aid in inst.arc_ids():
-                if aid in scenario.removed_set:
-                    assert flow.get(aid) == 0
-                assert flow.get(aid) <= sol.flow_witness.get(aid) + Fraction(1, 10**9)
-
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("gamma", [1, 2])
+    @pytest.mark.parametrize("gamma", [1, 2, 3])
     def test_methods_agree_on_random_instances(self, seed, gamma):
         inst = random_instance(nodes=6, arcs=9, cap_max=7, gamma=gamma, seed=300 + seed)
-        a = solve_rni(inst, method="scenario")
-        b = solve_rni(inst, method="cuts")
-        assert a.value == pytest.approx(b.value, abs=1e-6 * (1 + abs(a.value)))
-        assert certify(inst, a, kind="arc").passed
-        assert certify(inst, b, kind="arc").passed
+        arc, path = solve_rni(inst), solve_rni_path(inst)
+        scale = 1e-6 * (1 + abs(arc.value))
+        assert arc.value == pytest.approx(rni_by_scenario_lp(inst), abs=scale)
+        assert path.value == pytest.approx(rni_path_by_scenario_lp(inst), abs=scale)
+        assert certify(inst, arc, kind="arc").passed
+        assert certify(inst, path, kind="path").passed
 
 
 class TestSolveRniPath:
@@ -277,6 +267,21 @@ class TestCertify:
         inst = fig2a(6, 2)
         assert certify(inst, solve_rni(inst), kind="arc").passed
         assert certify(inst, solve_rni_path(inst), kind="path").passed
+
+    @pytest.mark.parametrize(
+        "solve, inst, kind, value",
+        [
+            # 276 scenarios and 1,024 cuts, both within their limits
+            (solve_rni, random_instance(12, 24, 10, 2, 5), "arc", 2.0),
+            # 2,024 scenarios, 80 paths
+            (solve_rni_path, fig2a(20, 3), "path", 5.0),
+        ],
+        ids=["rni-random_12_24_10_2_5", "rni_path-fig2a_20_3"],
+    )
+    def test_pass_on_larger_instances(self, solve, inst, kind, value):
+        sol = solve(inst)
+        assert sol.value == pytest.approx(value, abs=1e-6)
+        assert certify(inst, sol, kind=kind).passed
 
     def test_perturbed_strategy_fails(self):
         inst = fig2a(6, 2)
