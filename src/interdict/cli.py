@@ -2,7 +2,7 @@
 bound reports, as plain tables or JSON.
 
 Exit codes: 0 success, 1 bad arguments or unparsable input, 2 resource
-limit exceeded (scenario/path/cut caps), 3 numerical failure.
+limit exceeded (scenario or path limit), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .game import (
-    DEFAULT_CUT_LIMIT,
-    DEFAULT_SCENARIO_LIMIT,
-    ScenarioLimitExceeded,
-)
+from .game import DEFAULT_SCENARIO_LIMIT, ScenarioLimitExceeded
 from .graph import PathLimitExceeded
 from .instances import (
     FAMILIES,
@@ -50,12 +46,11 @@ PROB_PRINT_FLOOR = 1e-9
 class CliConfig:
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT
     path_limit: int = DEFAULT_PATH_LIMIT
-    cut_limit: int = DEFAULT_CUT_LIMIT
     tolerance: float = 1e-6
     output: str = "table"
 
     def __post_init__(self):
-        for name in ("scenario_limit", "path_limit", "cut_limit"):
+        for name in ("scenario_limit", "path_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.tolerance < 1:
@@ -76,7 +71,6 @@ def config_from(args) -> CliConfig:
     return CliConfig(
         scenario_limit=_setting(args, "scenario_limit", DEFAULT_SCENARIO_LIMIT),
         path_limit=_setting(args, "path_limit", DEFAULT_PATH_LIMIT),
-        cut_limit=_setting(args, "cut_limit", DEFAULT_CUT_LIMIT),
         tolerance=_setting(args, "tolerance", 1e-6, parse=float),
         output="json" if getattr(args, "json", False) else "table",
     )
@@ -108,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--scenario-limit", type=int, dest="scenario_limit")
         p.add_argument("--path-limit", type=int, dest="path_limit")
-        p.add_argument("--cut-limit", type=int, dest="cut_limit")
         p.add_argument("--tolerance", type=float)
 
     slv = sub.add_parser("solve", help="solve one model")
@@ -230,30 +223,17 @@ def cmd_solve(args) -> int:
     certificate = None
     extra = {}
     if model == "ni":
-        sol = solve_ni(
-            instance,
-            scenario_limit=config.scenario_limit,
-            cut_limit=config.cut_limit,
-        )
+        sol = solve_ni(instance, scenario_limit=config.scenario_limit)
         value = float(sol.value)
         flow = sol.witness_flow
         extra["witness_removal"] = list(sol.witness_scenario.removed)
     elif model == "rni":
-        sol = solve_rni(
-            instance,
-            scenario_limit=config.scenario_limit,
-            cut_limit=config.cut_limit,
-        )
+        sol = solve_rni(instance, scenario_limit=config.scenario_limit)
         value = sol.value
         strategy = sol.strategy
         flow = sol.flow_witness
         certificate = certify(
-            instance,
-            sol,
-            kind="arc",
-            tolerance=config.tolerance,
-            scenario_limit=config.scenario_limit,
-            cut_limit=config.cut_limit,
+            instance, sol, "arc", config.tolerance, config.scenario_limit
         )
     elif model == "rni-path":
         sol = solve_rni_path(
@@ -329,7 +309,6 @@ def cmd_report(args) -> int:
         tolerance=config.tolerance,
         scenario_limit=config.scenario_limit,
         path_limit=config.path_limit,
-        cut_limit=config.cut_limit,
     )
     if config.output == "json":
         payload = {

@@ -5,35 +5,36 @@ flow re-routable inside the committed arc flow once the removed arcs are
 gone; the path-based payoff is the committed path flow surviving removal
 (a path dies if any of its arcs is removed).  Both are evaluated exactly.
 
-removal_candidates is the one enumeration of the interdictor's responses to
-a set of arc weights: either the C(m, gamma) scenarios or the 2^(n-2) s-t
-cuts, whichever are fewer among those within their limits.  worst_removal,
-its first minimizer, is the exact best response, used on the capacities for
-the deterministic value and on a committed flow for its adaptive value;
-solvers.solve_rni draws its rows from the same enumeration.
+Only this module knows how the interdictor's exact best response is found:
+one way per payoff model, under one limit.  In the arc model
+removal_candidates enumerates the scenarios or the s-t cuts, whichever are
+fewer, and worst_removal is its first minimizer.  In the path model
+worst_path_removals is a branch-and-bound search.  The solvers' rows and
+certificates and the deterministic value all come from these.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .graph import (
     ArcFlow,
     Instance,
+    Numeric,
     PathFlow,
     as_fraction,
-    cut_count,
     iter_cuts,
     max_flow,
+    min_cut,
 )
 
 DEFAULT_SCENARIO_LIMIT = 20000
-DEFAULT_CUT_LIMIT = 4096  # node_count - 2 <= 12
 
 
 class ScenarioLimitExceeded(Exception):
@@ -156,48 +157,52 @@ def removal_candidates(
     instance: Instance,
     weights: Mapping[int, Fraction],
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-) -> Iterator[tuple[Fraction, Scenario, Optional[tuple[int, ...]]]]:
-    """The interdictor's candidate responses to the arc weights, in a fixed
-    order, as (payoff, scenario, kept); the least payoff is the exact best
-    response.
+) -> Iterator[tuple[Fraction, Scenario, Callable[[], tuple[int, ...]]]]:
+    """The interdictor's responses to the arc weights, in a fixed order, as
+    (payoff, scenario, kept): kept() gives the arcs the payoff counts, and
+    the least payoff is the exact best response.
 
-    By max-flow/min-cut the least payoff_arc over all scenarios is, over
-    all s-t cuts, the crossing weight minus its gamma largest arcs.
-    Whichever of the scenarios and the cuts are fewer among those within
-    their limits get enumerated, the cuts on a tie.  A cut yields the
-    weight of its crossing arcs kept after removing the gamma heaviest,
-    those kept arcs, and Scenario.covering of the removed ones; a scenario
-    yields its payoff_arc, itself, and kept=None.
+    By max-flow/min-cut the least payoff_arc over the scenarios is the least,
+    over s-t cuts, of the crossing weight minus its gamma largest arcs.  The
+    fewer of the two is enumerated, the cuts on a tie; ScenarioLimitExceeded
+    when even the fewer exceed the limit.  A cut's scenario is
+    Scenario.covering of its gamma heaviest arcs; a scenario's kept arcs are
+    the min cut left after it, computed when asked for.
     """
-    nscen, ncuts = scenario_count(instance), cut_count(instance)
-    if ncuts <= cut_limit and (ncuts <= nscen or nscen > scenario_limit):
+    nscen, ncuts = scenario_count(instance), 1 << (instance.node_count - 2)
+    if min(nscen, ncuts) > scenario_limit:
+        raise ScenarioLimitExceeded(
+            f"{nscen} scenarios and {ncuts} cuts exceed the limit of {scenario_limit}"
+        )
+    if ncuts <= nscen:
         gamma = instance.gamma
-        for _, crossing in iter_cuts(instance):
+        for crossing in iter_cuts(instance):
             ranked = sorted(crossing, key=lambda aid: (-weights.get(aid, 0), aid))
             kept = tuple(ranked[gamma:])
             value = sum((weights.get(aid, 0) for aid in kept), start=Fraction(0))
-            yield value, Scenario.covering(instance, ranked[:gamma]), kept
+            yield value, Scenario.covering(instance, ranked[:gamma]), lambda k=kept: k
         return
-    if nscen > scenario_limit:
-        raise ScenarioLimitExceeded(
-            f"{nscen} scenarios exceed the limit of {scenario_limit} and "
-            f"{ncuts} cuts exceed the limit of {cut_limit}"
-        )
     for scenario in scenarios(instance, limit=scenario_limit):
-        yield payoff_arc(instance, scenario, weights)[0], scenario, None
+        removed = scenario.removed_set
+        survivors = {aid: w for aid, w in weights.items() if aid not in removed}
+        payoff = max_flow(instance, survivors)[0]
+
+        def kept(survivors=survivors, removed=removed):
+            crossing = min_cut(instance, survivors).crossing
+            return tuple(aid for aid in crossing if aid not in removed)
+
+        yield payoff, scenario, kept
 
 
 def worst_removal(
     instance: Instance,
     weights: Mapping[int, Fraction],
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
 ) -> tuple[Fraction, Scenario]:
     """The interdictor's exact best response to the arc weights: the least
     payoff_arc over all scenarios, and a scenario attaining it (the first
     minimizer among removal_candidates)."""
-    candidates = removal_candidates(instance, weights, scenario_limit, cut_limit)
+    candidates = removal_candidates(instance, weights, scenario_limit)
     value, scenario, _ = min(candidates, key=lambda candidate: candidate[0])
     return value, scenario
 
@@ -206,10 +211,71 @@ def adaptive_value(
     instance: Instance,
     flow: ArcFlow,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
 ) -> Fraction:
     """Worst arc-based payoff of the committed flow over all scenarios."""
-    return worst_removal(instance, flow.values, scenario_limit, cut_limit)[0]
+    return worst_removal(instance, flow.values, scenario_limit)[0]
+
+
+def worst_path_removals(
+    instance: Instance,
+    entries: Iterable[tuple[tuple[int, ...], Numeric]],
+    count: int = 1,
+    below: Numeric = math.inf,
+    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
+) -> list[tuple[Numeric, Scenario]]:
+    """The interdictor's exact best responses to a committed path flow of
+    (path, amount) entries: up to count removals whose path payoff is below
+    the threshold, least first, as (payoff, scenario); exact for Fractions.
+
+    A branch-and-bound search (Land & Doig) over removal sets R.  The
+    allowed arcs are ranked by their load, the surviving flow through them;
+    a child adds the first of them that the removal hits and bans those
+    ranked before it, so every leaf is a distinct scenario.  A node is
+    pruned when its surviving flow minus its gamma - |R| largest loads
+    cannot beat the threshold or the count-th best leaf so far.  Past
+    scenario_limit leaves, ScenarioLimitExceeded: never while C(m, gamma)
+    is within the limit.
+    """
+    found: list[tuple[Numeric, Scenario]] = []
+    leaves = 0
+
+    def cutoff():
+        return below if len(found) < count else min(below, found[-1][0])
+
+    def search(removed, banned, alive):
+        nonlocal leaves
+        flow = sum((amount for _, amount in alive), start=0)
+        need = instance.gamma - len(removed)
+        loads = {aid: 0 for aid in instance.arc_ids() if aid not in banned}
+        for path, amount in alive:
+            for aid in path - banned:
+                loads[aid] += amount
+        ranked = sorted(loads, key=lambda aid: (-loads[aid], aid))
+        if flow - sum(loads[aid] for aid in ranked[:need]) >= cutoff():
+            return
+        if not need:
+            if leaves == scenario_limit:
+                raise ScenarioLimitExceeded(
+                    f"path-model removals evaluated exceed the limit of "
+                    f"{scenario_limit}"
+                )
+            leaves += 1
+            bisect.insort(found, (flow, Scenario(removed)), key=lambda c: c[0])
+            del found[count:]
+            return
+        # past this child too few allowed arcs are left to complete R
+        for i, aid in enumerate(ranked[: len(ranked) - need + 1]):
+            # at most the child's own bound, and growing with i
+            if flow - sum(loads[a] for a in ranked[i : i + need]) >= cutoff():
+                break
+            search(
+                removed + (aid,),
+                banned | frozenset(ranked[: i + 1]),
+                [(path, amount) for path, amount in alive if aid not in path],
+            )
+
+    search((), frozenset(), [(frozenset(p), a) for p, a in entries if a > 0])
+    return found
 
 
 def expected_payoff(

@@ -9,7 +9,7 @@ capacities are materialized as a finite big-M chosen so it can never bind.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -164,11 +164,13 @@ class PathFlow:
 
 @dataclass(frozen=True)
 class CutReport:
-    """An s-t cut, optionally evaluated under the capped capacities u(theta)."""
+    """An s-t cut, optionally evaluated under the capped capacities u(theta),
+    with the max flow that located it (under those capacities)."""
 
     s_side: frozenset[int]
     crossing: tuple[ArcId, ...]
     capacity: Fraction
+    flow: ArcFlow
     theta: Optional[Fraction] = None
     capacity_at_theta: Optional[Fraction] = None
     tight_at_or_below: frozenset[ArcId] = frozenset()  # theta <= u_e
@@ -257,7 +259,8 @@ def _max_flow_state(instance, caps):
             u, aid, forward = parent[v]
             flows[aid] += bottleneck if forward else -bottleneck
             v = u
-    return flows
+    values = {aid: flows[aid] for aid in instance.arc_ids()}
+    return flows, ArcFlow.from_values(instance, values)
 
 
 def _residual_reachable(instance, caps, flows) -> frozenset[int]:
@@ -287,10 +290,7 @@ def max_flow(
     Returns the exact value and a feasible flow attaining it.  The
     augmenting order is fixed, so the returned flow is reproducible.
     """
-    caps = resolve_capacities(instance, capacities)
-    flows = _max_flow_state(instance, caps)
-    values = {aid: flows[aid] for aid in instance.arc_ids() if flows[aid]}
-    flow = ArcFlow.from_values(instance, values)
+    flow = _max_flow_state(instance, resolve_capacities(instance, capacities))[1]
     return flow.value, flow
 
 
@@ -303,13 +303,14 @@ def min_cut(
 
     The cut is the set of nodes reachable from the source in the final
     residual graph, which makes the report canonical and deterministic.
-    When ``theta`` is given, capacities become min(u_e, theta) and the
-    report carries the sets of crossing arcs with theta <= u_e and
-    theta < u_e.
+    The report carries that max flow, the one max_flow returns under the
+    same capacities.  When ``theta`` is given, capacities become
+    min(u_e, theta) and the report carries the sets of crossing arcs with
+    theta <= u_e and theta < u_e.
     """
     base = resolve_capacities(instance, capacities)
     capped = resolve_capacities(instance, capacities, theta)
-    flows = _max_flow_state(instance, capped)
+    flows, flow = _max_flow_state(instance, capped)
     s_side = _residual_reachable(instance, capped, flows)
     crossing = tuple(
         aid
@@ -317,20 +318,16 @@ def min_cut(
         if instance.arc(aid).tail in s_side and instance.arc(aid).head not in s_side
     )
     capacity = sum((base[aid] for aid in crossing), start=Fraction(0))
+    report = CutReport(s_side=s_side, crossing=crossing, capacity=capacity, flow=flow)
     if theta is None:
-        return CutReport(s_side=s_side, crossing=crossing, capacity=capacity)
+        return report
     th = as_fraction(theta)
-    cap_theta = sum((capped[aid] for aid in crossing), start=Fraction(0))
-    a_set = frozenset(aid for aid in crossing if th <= base[aid])
-    b_set = frozenset(aid for aid in crossing if th < base[aid])
-    return CutReport(
-        s_side=s_side,
-        crossing=crossing,
-        capacity=capacity,
+    return replace(
+        report,
         theta=th,
-        capacity_at_theta=cap_theta,
-        tight_at_or_below=a_set,
-        strictly_below=b_set,
+        capacity_at_theta=sum((capped[aid] for aid in crossing), start=Fraction(0)),
+        tight_at_or_below=frozenset(aid for aid in crossing if th <= base[aid]),
+        strictly_below=frozenset(aid for aid in crossing if th < base[aid]),
     )
 
 
@@ -463,26 +460,16 @@ def validate_flow(
     return ValidationReport(violations=tuple(found))
 
 
-def cut_count(instance: Instance) -> int:
-    return 1 << (instance.node_count - 2)
-
-
-def iter_cuts(instance: Instance) -> Iterator[tuple[frozenset[int], tuple[ArcId, ...]]]:
-    """Every s-t cut as (source side, crossing arc ids), in a fixed order.
+def iter_cuts(instance: Instance) -> Iterator[tuple[ArcId, ...]]:
+    """The crossing arc ids of every s-t cut, in a fixed order.
 
     There are 2^(n-2) cuts; callers enforce their own size limits.
     """
-    internal = instance.internal_nodes()
-    out_of = {aid: instance.arc(aid) for aid in instance.arc_ids()}
-    for mask in range(1 << len(internal)):
-        s_side = {instance.source}
-        for i, v in enumerate(internal):
-            if mask >> i & 1:
-                s_side.add(v)
-        crossing = tuple(
+    inner = instance.internal_nodes()
+    for mask in range(1 << len(inner)):
+        s_side = {instance.source} | {v for i, v in enumerate(inner) if mask >> i & 1}
+        yield tuple(
             aid
-            for aid, arc in out_of.items()
+            for aid, arc in enumerate(instance.arcs, 1)
             if arc.tail in s_side and arc.head not in s_side
         )
-        yield frozenset(s_side), crossing
-

@@ -22,11 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .game import (
-    DEFAULT_CUT_LIMIT,
-    DEFAULT_SCENARIO_LIMIT,
-    ScenarioLimitExceeded,
-)
+from .game import DEFAULT_SCENARIO_LIMIT, ScenarioLimitExceeded
 from .graph import (
     ArcFlow,
     CutReport,
@@ -104,16 +100,20 @@ def lo_value_at(instance: Instance, theta: Numeric) -> Fraction:
     return max_flow(instance, _capped(instance, th))[0] - instance.gamma * th
 
 
-def _probe(instance: Instance, theta: Fraction) -> tuple[Fraction, int, int]:
+def _probe(
+    instance: Instance, theta: Fraction
+) -> tuple[Fraction, int, int, ArcFlow]:
     """Model value at theta and its right and left slopes, read off one min
     cut C under u(theta): |{e in C: u_e > theta}| - gamma and
-    |{e in C: u_e >= theta}| - gamma.  Both are supergradients."""
+    |{e in C: u_e >= theta}| - gamma.  Both are supergradients.  Last, the
+    max flow under u(theta) that located C."""
     cut = min_cut(instance, theta=theta)
     gamma = instance.gamma
     return (
         cut.capacity_at_theta - gamma * theta,
         len(cut.strictly_below) - gamma,
         len(cut.tight_at_or_below) - gamma,
+        cut.flow,
     )
 
 
@@ -129,29 +129,29 @@ def solve_lo(instance: Instance) -> LoSolution:
     there reaches the tangents' value or the probe cut's right slope is
     negative and its left slope is not; otherwise the probe replaces a or
     b.  Every step lowers the tangents' bound or moves b past a new line,
-    so it ends after finitely many min cuts.
+    so it ends after finitely many min cuts.  The witness flow is the
+    max flow of the last probe, the one at theta*.
     """
     a = Fraction(0)
-    fa, ra, _ = _probe(instance, a)
+    fa, ra, _, flow = _probe(instance, a)
     theta = a
     if ra >= 0:
         b = max(instance.effective_capacity(aid) for aid in instance.arc_ids()) + 1
-        fb, _, lb = _probe(instance, b)
+        fb, _, lb, _ = _probe(instance, b)
         while True:
             theta = (fb - fa + a * ra - b * lb) / (ra - lb)
-            value, right, left = _probe(instance, theta)
+            value, right, left, flow = _probe(instance, theta)
             if value == fa + (theta - a) * ra or right < 0 <= left:
                 break
             if right >= 0:
                 a, fa, ra = theta, value, right
             else:
                 b, fb, lb = theta, value, left
-    flow_value, flow = max_flow(instance, _capped(instance, theta))
     return LoSolution(
-        value=flow_value - instance.gamma * theta,
+        value=flow.value - instance.gamma * theta,
         theta_star=theta,
         flow=flow,
-        flow_value=flow_value,
+        flow_value=flow.value,
     )
 
 
@@ -243,7 +243,6 @@ def approx_report(
     tolerance: float = 1e-6,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
     path_limit: int = DEFAULT_PATH_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
 ) -> ApproxReport:
     """Solve every model that fits the limits and tabulate the value chain,
     the guaranteed ratio bounds, the certificate-cut conditions, and the
@@ -261,13 +260,11 @@ def approx_report(
     skipped = []
     z_ni = rni = rni_path = None
     try:
-        z_ni = float(
-            solve_ni(instance, scenario_limit=scenario_limit, cut_limit=cut_limit).value
-        )
+        z_ni = float(solve_ni(instance, scenario_limit=scenario_limit).value)
     except ScenarioLimitExceeded:
         skipped.append("ni")
     try:
-        rni = solve_rni(instance, scenario_limit=scenario_limit, cut_limit=cut_limit)
+        rni = solve_rni(instance, scenario_limit=scenario_limit)
     except ScenarioLimitExceeded:
         skipped.append("rni")
     try:

@@ -6,18 +6,20 @@ payoff models together with an optimal mixed removal strategy; the gamma=1
 case has a dedicated polynomial LP.  Every mixed strategy is extracted
 from LP duals and can be re-validated with an independent two-sided
 certificate (certify): the flow witness is checked against the
-interdictor's exact best response (game.worst_removal, the same oracle
-solve_ni applies to the capacities) and the strategy against an exact
-best-response LP.
+interdictor's exact best response in its payoff model (game.worst_removal,
+the same oracle solve_ni applies to the capacities, or
+game.worst_path_removals) and the strategy against an exact best-response
+LP.
 
 Both RNI values come from one constraint-generation loop
 (_row_generation).  Each is a maximum over the flow player's variables of
-the least payoff over gamma-arc removals, and by max-flow/min-cut a
-removal's payoff is bounded by the committed flow over any cut minus the
-removed arcs: an LP with one row per candidate response, of which only the
-few binding at the optimum are needed.  The loop grows a small master LP
-with the rows of the responses its current point violates, taken from the
-interdictor's exact enumeration, and reads the strategy off the row duals.
+the least payoff over gamma-arc removals: an LP with one row per removal
+(in the arc model, by max-flow/min-cut, the committed flow over a cut
+minus the removed arcs), of which only the few binding at the optimum are
+needed.  The loop grows a small master LP with the rows of the responses
+its current point violates, taken from game's best response for the
+model, and reads the strategy off the row duals.  How those responses are
+found, and the one limit on it, is game's alone.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ from fractions import Fraction
 from typing import Union
 
 from .game import (
-    DEFAULT_CUT_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
     MixedStrategy,
     Scenario,
     adaptive_value,
     payoff_arc,
-    payoff_path,
     removal_candidates,
-    scenarios,
+    worst_path_removals,
     worst_removal,
 )
 from .graph import (
@@ -44,7 +44,6 @@ from .graph import (
     Instance,
     PathFlow,
     enumerate_paths,
-    min_cut,
 )
 from .linopt import LpProblem, solve_lp
 
@@ -127,14 +126,12 @@ def _add_conservation(lp, instance, col_of):
 
 
 def solve_ni(
-    instance: Instance,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
+    instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> NiSolution:
     """Best pure removal: the interdictor's best response to the capacities
     (worst_removal), with the max flow left after it."""
     caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
-    _, witness = worst_removal(instance, caps, scenario_limit, cut_limit)
+    _, witness = worst_removal(instance, caps, scenario_limit)
     value, flow = payoff_arc(instance, witness, caps)
     return NiSolution(value=value, witness_scenario=witness, witness_flow=flow)
 
@@ -160,15 +157,16 @@ def _row_generation(instance, master, candidates):
     columns, subject to one row z <= (sum of the columns a response leaves
     alive) per interdictor response generated so far.
 
-    candidates(x) scores every response at the master's point x (None
-    before the first solve: score at the capacities) and yields
-    (payoff, scenario, alive); alive() gives the columns the response
-    leaves alive and is called only for the rows considered.  Each round
-    adds the rows of at most m (the arc count) violated responses, most
-    violated first, skipping rows already in the master, and stops when no
-    new row is violated by more than 1e-9 (1 + |z|).  A repeated row cannot cut off the current point and
-    the rows are finitely many, so the loop ends.  Returns the last LP
-    solution and the mixed strategy of the rows' duals.
+    candidates(x, below) yields the responses whose payoff at the master's
+    point x is below the threshold (x is None before the first solve:
+    score at the capacities) as (payoff, scenario, alive); alive() gives
+    the columns the response leaves alive and is called only for the rows
+    considered.  Each round adds the rows of at most m (the arc count)
+    responses violated by more than 1e-9 (1 + |z|), most violated first,
+    skipping rows already in the master, and stops when it adds none.  A
+    repeated row cannot cut off the current point and the rows are
+    finitely many, so the loop ends.  Returns the last LP solution and the
+    mixed strategy of the rows' duals.
     """
     z = master.num_vars - 1
     master.set_objective({z: 1.0})
@@ -176,13 +174,11 @@ def _row_generation(instance, master, candidates):
     rows: dict[frozenset, tuple[int, Scenario]] = {}
     sol = None
     while True:
-        found = list(candidates(None if sol is None else sol.x))
+        x, below = None, math.inf
         if sol is not None:
-            floor = sol.objective - 1e-9 * (1.0 + abs(sol.objective))
-            found = [c for c in found if c[0] < floor]
-        found.sort(key=lambda c: c[0])
+            x, below = sol.x, sol.objective - 1e-9 * (1.0 + abs(sol.objective))
         added = 0
-        for _, scenario, alive in found:
+        for _, scenario, alive in sorted(candidates(x, below), key=lambda c: c[0]):
             if added == instance.arc_count:
                 break
             alive = frozenset(alive())
@@ -201,18 +197,14 @@ def _row_generation(instance, master, candidates):
 
 
 def solve_rni(
-    instance: Instance,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
+    instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> RniSolution:
     """Randomized value in the arc-based payoff model, with an optimal
     mixed removal strategy and a committed-flow witness.
 
     The master is the arc flow x plus z; each response's row bounds z by
-    x over a cut minus the removed arcs.  The responses are
-    game.removal_candidates: on the cut route a row is the enumerated
-    cut's kept arcs; on the scenario route it is the min cut left within x
-    after the scenario, computed only for the rows added.
+    x over the arcs game.removal_candidates says it keeps: a cut minus
+    the removed arcs.
     """
     m = instance.arc_count
     caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
@@ -221,23 +213,15 @@ def solve_rni(
         master.set_bounds(aid - 1, 0.0, float(caps[aid]))
     _add_conservation(master, instance, lambda aid: aid - 1)
 
-    def cut_after(scenario, weights):
-        removed = scenario.removed_set
-        survivors = {aid: w for aid, w in weights.items() if aid not in removed}
-        crossing = min_cut(instance, survivors).crossing
-        return [aid - 1 for aid in crossing if aid not in removed]
-
-    def candidates(x):
+    def candidates(x, below):
         weights = caps
         if x is not None:
             weights = {a: float(v) for a, v in zip(instance.arc_ids(), x) if v > 1e-12}
         for payoff, scenario, kept in removal_candidates(
-            instance, weights, scenario_limit, cut_limit
+            instance, weights, scenario_limit
         ):
-            if kept is None:
-                yield payoff, scenario, lambda s=scenario: cut_after(s, weights)
-            else:
-                yield payoff, scenario, lambda kept=kept: [aid - 1 for aid in kept]
+            if payoff < below:
+                yield payoff, scenario, lambda kept=kept: [aid - 1 for aid in kept()]
 
     sol, strategy = _row_generation(instance, master, candidates)
     return RniSolution(
@@ -255,10 +239,10 @@ def solve_rni_path(
 ) -> RniSolution:
     """Randomized value in the path-based payoff model, by the same row
     generation as solve_rni: the master is one column per s-t path under
-    the arc capacities plus z, and each scenario's row bounds z by the
-    paths that survive it."""
+    the arc capacities plus z, and each response's row bounds z by the
+    paths that survive it.  The responses are game.worst_path_removals on
+    the master's path flow, in floats."""
     paths = enumerate_paths(instance, limit=path_limit)
-    scens = scenarios(instance, limit=scenario_limit)
     npaths = len(paths)
     master = LpProblem(npaths + 1, sense="max")
     _add_path_capacities(master, instance, paths)
@@ -267,13 +251,13 @@ def solve_rni_path(
         float(min(instance.effective_capacity(aid) for aid in path)) for path in paths
     ]
 
-    def candidates(x):
+    def candidates(x, below):
         flow = bottlenecks if x is None else [float(v) for v in x[:npaths]]
         support = [(path, f) for path, f in zip(paths, flow) if f > 1e-12]
-        for scenario in scens:
-            removed = scenario.removed_set
-            payoff = sum(f for path, f in support if removed.isdisjoint(path))
-            yield payoff, scenario, lambda removed=removed: [
+        for payoff, scenario in worst_path_removals(
+            instance, support, instance.arc_count, below, scenario_limit
+        ):
+            yield payoff, scenario, lambda removed=scenario.removed_set: [
                 p for p, path in enumerate(paths) if removed.isdisjoint(path)
             ]
 
@@ -427,22 +411,12 @@ def best_response_path(
     return sol.objective, _path_flow_from_lp(paths, sol.x)
 
 
-def _min_scenario_payoff_path(instance, flow, scenario_limit):
-    best = None
-    for scenario in scenarios(instance, limit=scenario_limit):
-        value = payoff_path(instance, scenario, flow)
-        if best is None or value < best:
-            best = value
-    return best
-
-
 def certify(
     instance: Instance,
     solution: RniSolution,
     kind: str,
     tolerance: float = 1e-6,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
     path_limit: int = DEFAULT_PATH_LIMIT,
 ) -> CertificateReport:
     """Two-sided saddle check, independent of how the solution was found.
@@ -456,13 +430,11 @@ def certify(
         raise ValueError("kind must be 'arc' or 'path'")
     value = float(solution.value)
     if kind == "arc":
-        worst = adaptive_value(
-            instance, solution.flow_witness, scenario_limit, cut_limit
-        )
+        worst = adaptive_value(instance, solution.flow_witness, scenario_limit)
         adversary, _ = best_response_arc(instance, solution.strategy)
     else:
-        worst = _min_scenario_payoff_path(
-            instance, solution.flow_witness, scenario_limit
+        [(worst, _)] = worst_path_removals(
+            instance, solution.flow_witness.entries, scenario_limit=scenario_limit
         )
         adversary, _ = best_response_path(
             instance, solution.strategy, path_limit=path_limit

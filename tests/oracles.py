@@ -1,14 +1,15 @@
 """Independent oracles shared by the test modules.
 
-Most avoid the library's LP path: they enumerate cuts and work in exact
-rational arithmetic, so they can vouch for the solvers.  The two RNI
-references are complete LPs with one block or row per scenario, written
-up front, against which the solvers' row generation is checked.
+Most avoid the library's LP path and its best-response searches: they
+enumerate every scenario or every cut and work in exact rational
+arithmetic, so they can vouch for the solvers.  The two RNI references are
+complete LPs with one block or row per scenario, written up front, against
+which the solvers' row generation is checked.
 """
 
 from fractions import Fraction
 
-from interdict.game import adaptive_value, scenarios
+from interdict.game import payoff_arc, payoff_path, scenarios
 from interdict.graph import enumerate_paths, iter_cuts
 from interdict.linopt import LpProblem, solve_lp
 from interdict.lomodel import lo_value_at
@@ -16,15 +17,26 @@ from interdict.solvers import _add_conservation, _add_scenario_flow
 
 
 def adaptive_by_scenarios(instance, flow):
-    """adaptive_value by scenario enumeration: a cut limit of 0 rules the
-    cut enumeration out."""
-    return adaptive_value(instance, flow, cut_limit=0)
+    """Adaptive value of an arc flow: the least payoff_arc over every
+    scenario."""
+    return min(payoff_arc(instance, s, flow.values)[0] for s in scenarios(instance))
 
 
 def adaptive_by_cuts(instance, flow):
-    """adaptive_value by cut enumeration: a scenario limit of 0 rules the
-    scenario enumeration out."""
-    return adaptive_value(instance, flow, scenario_limit=0)
+    """Adaptive value of an arc flow by max-flow/min-cut: the least, over
+    every s-t cut, of the crossing flow minus its gamma largest arcs."""
+    gamma = instance.gamma
+
+    def kept(crossing):
+        ranked = sorted((flow.get(aid) for aid in crossing), reverse=True)
+        return sum(ranked[gamma:], start=Fraction(0))
+
+    return min(kept(crossing) for crossing in iter_cuts(instance))
+
+
+def worst_path_payoff_by_scenarios(instance, flow):
+    """Least payoff_path of a path flow over every scenario."""
+    return min(payoff_path(instance, s, flow) for s in scenarios(instance))
 
 
 def theta_sweep(instance):
@@ -39,7 +51,7 @@ def theta_sweep(instance):
     Returns (best value, largest maximizing candidate theta).
     """
     caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
-    crossings = [crossing for _, crossing in iter_cuts(instance)]
+    crossings = list(iter_cuts(instance))
     kinks = sorted({caps[aid] for c in crossings for aid in c} | {Fraction(0)})
     candidates = set(kinks)
 

@@ -53,10 +53,14 @@ class TestGenerate:
         assert code == 1
         assert "K >= gamma + 1" in stderr
 
-    def test_unknown_flag_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(capsys, "generate", "--family", "fig2a", "--oops", "1")
-        assert err.value.code == 1
+    def test_unknown_flag_exits_one(self, fig2a_file, capsys):
+        for argv in (
+            ("generate", "--family", "fig2a", "--oops", "1"),
+            ("solve", "--model", "ni", fig2a_file, "--cut-limit", "5"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                run(capsys, *argv)
+            assert err.value.code == 1
 
 
 class TestSolve:
@@ -175,8 +179,8 @@ class TestReport:
         assert payload["partial"] is False
 
     def test_partial_flag_under_tiny_limits(self, fig2a_file, capsys):
-        # a tiny scenario cap alone only blocks the path model: NI and the
-        # arc model enumerate cuts until those are capped as well
+        # a limit of 3 only blocks the path model: NI and the arc model
+        # enumerate fig2a's 2 cuts, which a limit of 1 blocks as well
         code, stdout, _ = run(
             capsys, "report", fig2a_file, "--scenario-limit", "3", "--json"
         )
@@ -185,8 +189,7 @@ class TestReport:
         assert payload["partial"] is True
         assert set(payload["skipped"]) == {"rni_path"}
         code, stdout, _ = run(
-            capsys, "report", fig2a_file, "--scenario-limit", "3",
-            "--cut-limit", "1", "--json",
+            capsys, "report", fig2a_file, "--scenario-limit", "1", "--json"
         )
         assert code == 0
         payload = json.loads(stdout)

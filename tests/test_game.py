@@ -12,10 +12,17 @@ from interdict.game import (
     expected_payoff,
     payoff_arc,
     payoff_path,
+    scenario_count,
     scenarios,
+    worst_path_removals,
 )
 from interdict.instances import fig1, fig2a, random_instance
-from oracles import adaptive_by_cuts, adaptive_by_scenarios
+from interdict.solvers import solve_rni_path
+from oracles import (
+    adaptive_by_cuts,
+    adaptive_by_scenarios,
+    worst_path_payoff_by_scenarios,
+)
 
 
 def saturating_flow(instance):
@@ -124,7 +131,7 @@ class TestAdaptiveValue:
     def test_limit_propagates(self):
         inst = fig1(12, 2)  # 120 scenarios, 2 cuts
         with pytest.raises(ScenarioLimitExceeded, match="120 scenarios.*2 cuts"):
-            adaptive_value(inst, saturating_flow(inst), scenario_limit=10, cut_limit=1)
+            adaptive_value(inst, saturating_flow(inst), scenario_limit=1)
 
 
 class TestAdaptiveValueByCuts:
@@ -147,6 +154,31 @@ class TestAdaptiveValueByCuts:
         inst = random_instance(nodes=6, arcs=9, cap_max=7, gamma=gamma, seed=seed)
         x = saturating_flow(inst)
         assert adaptive_by_scenarios(inst, x) == adaptive_by_cuts(inst, x)
+        assert adaptive_value(inst, x) == adaptive_by_cuts(inst, x)
+
+
+class TestWorstPathRemovals:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("gamma", [1, 2, 3])
+    def test_matches_enumeration(self, seed, gamma):
+        nodes = 4 + seed % 6
+        inst = random_instance(nodes, 2 * nodes, 7, gamma, 800 + seed)
+        decomposed = decompose(inst, max_flow(inst)[1])
+        witness = solve_rni_path(inst).flow_witness  # Fraction(float) amounts
+        for flow in (decomposed, witness):
+            best = worst_path_payoff_by_scenarios(inst, flow)
+            # its leaves are distinct scenarios, so C(m, gamma) is never refused
+            [(value, scenario)] = worst_path_removals(
+                inst, flow.entries, scenario_limit=scenario_count(inst)
+            )
+            assert value == best == payoff_path(inst, scenario, flow)
+            assert worst_path_removals(inst, flow.entries, 3, below=best) == []
+            found = worst_path_removals(inst, flow.entries, 3, below=flow.value + 1)
+            assert found[0][0] == best
+            assert [v for v, _ in found] == sorted(v for v, _ in found)
+            assert len({s for _, s in found}) == len(found) <= 3
+            for v, s in found:
+                assert v == payoff_path(inst, s, flow) <= flow.value
 
 
 class TestExpectedPayoff:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from interdict.graph import Arc, Instance
+from interdict.graph import Arc, Instance, max_flow
 from interdict.instances import fig1, fig2a, fig2b, random_instance
 from interdict.lomodel import (
     approx_report,
@@ -94,6 +94,11 @@ class TestSolveLo:
         best, best_theta = theta_sweep(inst)
         assert sol.value == best
         assert sol.theta_star == best_theta
+        # the witness is the max flow under the capacities capped at theta*
+        capped = {
+            aid: min(inst.effective_capacity(aid), best_theta) for aid in inst.arc_ids()
+        }
+        assert sol.flow == max_flow(inst, capped)[1]
 
 
 class TestLoCuts:

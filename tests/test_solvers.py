@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from interdict.graph import Arc, Instance, max_flow
+from interdict.graph import Arc, ArcFlow, Instance, max_flow
 from interdict.game import (
     MixedStrategy,
     Scenario,
@@ -24,7 +24,12 @@ from interdict.solvers import (
     solve_rni_gamma1,
     solve_rni_path,
 )
-from oracles import rni_by_scenario_lp, rni_path_by_scenario_lp
+from oracles import (
+    adaptive_by_cuts,
+    adaptive_by_scenarios,
+    rni_by_scenario_lp,
+    rni_path_by_scenario_lp,
+)
 
 
 def single_arc(cap=5):
@@ -61,26 +66,38 @@ class TestSolveNi:
     def test_cut_method_matches_enumeration(self):
         for seed in range(10):
             inst = random_instance(nodes=6, arcs=10, cap_max=9, gamma=2, seed=seed)
-            a = solve_ni(inst, cut_limit=0)  # scenario enumeration
-            b = solve_ni(inst, scenario_limit=0)  # cut enumeration
-            assert a.value == b.value
-            # both witnesses actually attain the value
-            for sol in (a, b):
-                post, _ = max_flow(
-                    inst,
-                    {aid: 0 if aid in sol.witness_scenario.removed_set
-                     else inst.effective_capacity(aid) for aid in inst.arc_ids()},
-                )
-                assert post == sol.value
+            sol = solve_ni(inst)
+            caps = ArcFlow.from_values(
+                inst, {aid: inst.effective_capacity(aid) for aid in inst.arc_ids()}
+            )
+            assert sol.value == adaptive_by_scenarios(inst, caps)
+            assert sol.value == adaptive_by_cuts(inst, caps)
+            # the witness actually attains the value
+            post, _ = max_flow(
+                inst,
+                {aid: 0 if aid in sol.witness_scenario.removed_set
+                 else inst.effective_capacity(aid) for aid in inst.arc_ids()},
+            )
+            assert post == sol.value
 
     def test_long_chain_enumerates_scenarios(self):
-        inst = chain(range(1, 16))  # 15 scenarios, 2^14 cuts: over the cut limit
+        inst = chain(range(1, 16))  # 15 scenarios, fewer than its 2^14 cuts
         sol = solve_ni(inst)
         assert sol.value == 0 and sol.witness_scenario.removed == (1,)
         x = max_flow(inst)[1]
         assert adaptive_value(inst, x) == 0
         with pytest.raises(ScenarioLimitExceeded, match="15 scenarios.*16384 cuts"):
             solve_ni(inst, scenario_limit=14)
+
+    def test_fat_chain_enumerates_cuts(self):
+        # 14 links of 4 parallel arcs, gamma = 3: C(56, 3) = 27,720 scenarios
+        # and 2^13 = 8,192 cuts, so only the cuts fit the limit
+        rng = random.Random(3)
+        links = [[Fraction(rng.randint(1, 9)) for _ in range(4)] for _ in range(14)]
+        arcs = tuple(Arc(v, v + 1, c) for v, caps in enumerate(links, 1) for c in caps)
+        inst = Instance(15, 1, 15, arcs, 3)
+        least_min = min(min(caps) for caps in links)
+        assert solve_ni(inst).value == least_min
 
     def test_fig2b_enumerates_cuts_under_tiny_scenario_limit(self):
         inst = fig2b(48, 2)  # 1,378 scenarios, 4 cuts
@@ -275,8 +292,14 @@ class TestCertify:
             (solve_rni, random_instance(12, 24, 10, 2, 5), "arc", 2.0),
             # 2,024 scenarios, 80 paths
             (solve_rni_path, fig2a(20, 3), "path", 5.0),
+            # 182,104 scenarios, over the limit; 400 paths
+            (solve_rni_path, fig2a(100, 3), "path", 25.0),
         ],
-        ids=["rni-random_12_24_10_2_5", "rni_path-fig2a_20_3"],
+        ids=[
+            "rni-random_12_24_10_2_5",
+            "rni_path-fig2a_20_3",
+            "rni_path-fig2a_100_3",
+        ],
     )
     def test_pass_on_larger_instances(self, solve, inst, kind, value):
         sol = solve(inst)
@@ -300,10 +323,11 @@ class TestCertify:
 
     def test_degenerate_gamma_all_arcs(self):
         inst = chain([2, 3], gamma=2)
-        sol = solve_rni(inst)
-        report = certify(inst, sol, kind="arc")
-        assert sol.value == pytest.approx(0.0, abs=1e-9)
-        assert report.passed
+        for solve, kind in ((solve_rni, "arc"), (solve_rni_path, "path")):
+            sol = solve(inst)
+            report = certify(inst, sol, kind=kind)
+            assert sol.value == pytest.approx(0.0, abs=1e-9)
+            assert report.passed
 
 
 class TestOrderingProperties:
