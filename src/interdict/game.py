@@ -8,7 +8,9 @@ gone; the path-based payoff is the committed path flow surviving removal
 Only this module knows how the interdictor's exact best response is found:
 one way per payoff model, under one limit.  In the arc model
 removal_candidates enumerates the scenarios or the s-t cuts, whichever are
-fewer, and worst_removal is its first minimizer.  In the path model
+fewer, on the weights scaled once to integers over their common
+denominator (one max flow per scenario gives its payoff and its kept
+arcs), and worst_removal is its first minimizer.  In the path model
 worst_path_removals is a branch-and-bound search.  The solvers' rows and
 certificates and the deterministic value all come from these.
 """
@@ -28,10 +30,13 @@ from .graph import (
     Instance,
     Numeric,
     PathFlow,
+    _augment,
+    _crossing,
+    _scaled,
     as_fraction,
     iter_cuts,
     max_flow,
-    min_cut,
+    resolve_capacities,
 )
 
 DEFAULT_SCENARIO_LIMIT = 20000
@@ -155,56 +160,61 @@ def _payoff(instance, scenario, flow):
 
 def removal_candidates(
     instance: Instance,
-    weights: Mapping[int, Fraction],
+    weights: Mapping[int, Numeric],
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> Iterator[tuple[Fraction, Scenario, Callable[[], tuple[int, ...]]]]:
+) -> Iterator[tuple[Fraction, Callable[[], tuple[Scenario, tuple[int, ...]]]]]:
     """The interdictor's responses to the arc weights, in a fixed order, as
-    (payoff, scenario, kept): kept() gives the arcs the payoff counts, and
-    the least payoff is the exact best response.
+    (payoff, response): response() gives the scenario and the arcs the
+    payoff counts, and the least payoff is the exact best response.
 
     By max-flow/min-cut the least payoff_arc over the scenarios is the least,
     over s-t cuts, of the crossing weight minus its gamma largest arcs.  The
     fewer of the two is enumerated, the cuts on a tie; ScenarioLimitExceeded
-    when even the fewer exceed the limit.  A cut's scenario is
-    Scenario.covering of its gamma heaviest arcs; a scenario's kept arcs are
-    the min cut left after it, computed when asked for.
+    when even the fewer exceed the limit.  The weights are scaled to
+    integers over their common denominator once.  A cut's scenario is
+    Scenario.covering of its gamma heaviest arcs; a scenario's payoff and
+    kept arcs, the min cut left after it, come from one max flow.
     """
     nscen, ncuts = scenario_count(instance), 1 << (instance.node_count - 2)
     if min(nscen, ncuts) > scenario_limit:
         raise ScenarioLimitExceeded(
             f"{nscen} scenarios and {ncuts} cuts exceed the limit of {scenario_limit}"
         )
+    w, d = _scaled(resolve_capacities(instance, weights))
     if ncuts <= nscen:
         gamma = instance.gamma
         for crossing in iter_cuts(instance):
-            ranked = sorted(crossing, key=lambda aid: (-weights.get(aid, 0), aid))
-            kept = tuple(ranked[gamma:])
-            value = sum((weights.get(aid, 0) for aid in kept), start=Fraction(0))
-            yield value, Scenario.covering(instance, ranked[:gamma]), lambda k=kept: k
+            ranked = sorted(crossing, key=lambda aid: (-w[aid], aid))
+
+            def cut_response(ranked=ranked):
+                return Scenario.covering(instance, ranked[:gamma]), tuple(ranked[gamma:])
+
+            yield Fraction(sum(w[aid] for aid in ranked[gamma:]), d), cut_response
         return
     for scenario in scenarios(instance, limit=scenario_limit):
-        removed = scenario.removed_set
-        survivors = {aid: w for aid, w in weights.items() if aid not in removed}
-        payoff = max_flow(instance, survivors)[0]
+        caps = list(w)
+        for aid in scenario.removed:
+            caps[aid] = 0
+        value, _, s_side = _augment(instance, caps)
 
-        def kept(survivors=survivors, removed=removed):
-            crossing = min_cut(instance, survivors).crossing
-            return tuple(aid for aid in crossing if aid not in removed)
+        def response(scenario=scenario, s_side=s_side):
+            crossing = _crossing(instance, s_side)
+            return scenario, tuple(a for a in crossing if a not in scenario.removed)
 
-        yield payoff, scenario, kept
+        yield Fraction(value, d), response
 
 
 def worst_removal(
     instance: Instance,
-    weights: Mapping[int, Fraction],
+    weights: Mapping[int, Numeric],
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> tuple[Fraction, Scenario]:
     """The interdictor's exact best response to the arc weights: the least
     payoff_arc over all scenarios, and a scenario attaining it (the first
     minimizer among removal_candidates)."""
     candidates = removal_candidates(instance, weights, scenario_limit)
-    value, scenario, _ = min(candidates, key=lambda candidate: candidate[0])
-    return value, scenario
+    value, response = min(candidates, key=lambda candidate: candidate[0])
+    return value, response()[0]
 
 
 def adaptive_value(

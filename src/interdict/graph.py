@@ -1,13 +1,17 @@
 """Directed multigraph instances and exact flow primitives.
 
-Capacities and flows are `fractions.Fraction` values throughout, so max-flow,
-min-cut, decomposition, and payoff evaluations are exact whenever the inputs
-are rational (floats convert exactly to binary rationals).  Unbounded
-capacities are materialized as a finite big-M chosen so it can never bind.
+Capacities and flows are `fractions.Fraction` values at the boundary, so
+max-flow, min-cut, decomposition, and payoff evaluations are exact whenever
+the inputs are rational (floats convert exactly to binary rationals).  The
+max-flow kernel scales the capacities once to integers over the LCM D of
+their denominators and augments on Python ints; flows come back as
+Fraction(f, D).  Unbounded capacities are materialized as a finite big-M
+chosen so it can never bind.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -107,6 +111,11 @@ class Instance:
             out[arc.tail].append(aid)
             inc[arc.head].append(aid)
         return out, inc
+
+    @cached_property
+    def _ends(self) -> tuple[list[int], list[int]]:
+        """Arc tails and heads, indexed by arc id (entry 0 unused)."""
+        return [0] + [a.tail for a in self.arcs], [0] + [a.head for a in self.arcs]
 
     def out_ids(self, node: int) -> Sequence[ArcId]:
         return self._adjacency[0][node]
@@ -211,74 +220,71 @@ def resolve_capacities(
     return caps
 
 
-def _augmenting_path(instance, caps, flows):
-    """Shortest augmenting path in the residual graph, scanning arcs in id
-    order (forward arcs before backward) for reproducible flows."""
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over the LCM D of their
+    denominators, and D."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _augment(instance, caps: list[int]) -> tuple[int, list[int], frozenset[int]]:
+    """Edmonds-Karp max flow on integer capacities indexed by arc id.
+
+    Each augmenting path is a shortest one in the residual graph, found by
+    a search that scans arcs in id order (forward arcs before backward), so
+    the flow is reproducible.  Returns the flow value, the arc flows, and
+    the source side of the source-side-minimal min cut: the nodes that the
+    last, failed search reached.
+    """
+    out, inc = instance._adjacency
+    tails, heads = instance._ends
     source, sink = instance.source, instance.sink
-    parent: dict[int, tuple[int, ArcId, bool]] = {}
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for aid in instance.out_ids(u):
-            if flows[aid] < caps[aid]:
-                v = instance.arc(aid).head
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = (u, aid, True)
-                    if v == sink:
-                        return parent
-                    queue.append(v)
-        for aid in instance.in_ids(u):
-            if flows[aid] > 0:
-                v = instance.arc(aid).tail
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = (u, aid, False)
-                    if v == sink:
-                        return parent
-                    queue.append(v)
-    return None
-
-
-def _max_flow_state(instance, caps):
-    flows = [Fraction(0)] * (instance.arc_count + 1)
+    flows = [0] * len(caps)
+    value = 0
     while True:
-        parent = _augmenting_path(instance, caps, flows)
-        if parent is None:
-            break
-        bottleneck = None
-        v = instance.sink
-        while v != instance.source:
-            u, aid, forward = parent[v]
-            room = caps[aid] - flows[aid] if forward else flows[aid]
-            bottleneck = room if bottleneck is None else min(bottleneck, room)
-            v = u
-        v = instance.sink
-        while v != instance.source:
-            u, aid, forward = parent[v]
-            flows[aid] += bottleneck if forward else -bottleneck
-            v = u
-    values = {aid: flows[aid] for aid in instance.arc_ids()}
-    return flows, ArcFlow.from_values(instance, values)
+        parent = {source: 0}  # node -> arc reaching it, negated if backward
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for aid in out[u]:
+                v = heads[aid]
+                if v not in parent and flows[aid] < caps[aid]:
+                    parent[v] = aid
+                    if v == sink:
+                        break
+                    queue.append(v)
+            else:
+                for aid in inc[u]:
+                    v = tails[aid]
+                    if v not in parent and flows[aid] > 0:
+                        parent[v] = -aid
+                        queue.append(v)
+        if sink not in parent:
+            return value, flows, frozenset(parent)
+        path = []
+        v = sink
+        while v != source:
+            aid = parent[v]
+            path.append(aid)
+            v = tails[aid] if aid > 0 else heads[-aid]
+        delta = min(caps[a] - flows[a] if a > 0 else flows[-a] for a in path)
+        for aid in path:
+            flows[abs(aid)] += delta if aid > 0 else -delta
+        value += delta
 
 
-def _residual_reachable(instance, caps, flows) -> frozenset[int]:
-    seen = {instance.source}
-    queue = deque([instance.source])
-    while queue:
-        u = queue.popleft()
-        for aid in instance.out_ids(u):
-            v = instance.arc(aid).head
-            if v not in seen and flows[aid] < caps[aid]:
-                seen.add(v)
-                queue.append(v)
-        for aid in instance.in_ids(u):
-            v = instance.arc(aid).tail
-            if v not in seen and flows[aid] > 0:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
+def _arc_flow(value: int, flows: list[int], d: int) -> ArcFlow:
+    """An integer flow over the common denominator d, in Fractions."""
+    values = {aid: Fraction(f, d) for aid, f in enumerate(flows) if f}
+    return ArcFlow(values=values, value=Fraction(value, d))
+
+
+def _crossing(instance, s_side) -> tuple[ArcId, ...]:
+    return tuple(
+        aid
+        for aid, arc in enumerate(instance.arcs, 1)
+        if arc.tail in s_side and arc.head not in s_side
+    )
 
 
 def max_flow(
@@ -290,7 +296,9 @@ def max_flow(
     Returns the exact value and a feasible flow attaining it.  The
     augmenting order is fixed, so the returned flow is reproducible.
     """
-    flow = _max_flow_state(instance, resolve_capacities(instance, capacities))[1]
+    caps, d = _scaled(resolve_capacities(instance, capacities))
+    value, flows, _ = _augment(instance, caps)
+    flow = _arc_flow(value, flows, d)
     return flow.value, flow
 
 
@@ -310,14 +318,11 @@ def min_cut(
     """
     base = resolve_capacities(instance, capacities)
     capped = resolve_capacities(instance, capacities, theta)
-    flows, flow = _max_flow_state(instance, capped)
-    s_side = _residual_reachable(instance, capped, flows)
-    crossing = tuple(
-        aid
-        for aid in instance.arc_ids()
-        if instance.arc(aid).tail in s_side and instance.arc(aid).head not in s_side
-    )
+    caps, d = _scaled(capped)
+    value, flows, s_side = _augment(instance, caps)
+    crossing = _crossing(instance, s_side)
     capacity = sum((base[aid] for aid in crossing), start=Fraction(0))
+    flow = _arc_flow(value, flows, d)
     report = CutReport(s_side=s_side, crossing=crossing, capacity=capacity, flow=flow)
     if theta is None:
         return report
@@ -468,8 +473,4 @@ def iter_cuts(instance: Instance) -> Iterator[tuple[ArcId, ...]]:
     inner = instance.internal_nodes()
     for mask in range(1 << len(inner)):
         s_side = {instance.source} | {v for i, v in enumerate(inner) if mask >> i & 1}
-        yield tuple(
-            aid
-            for aid, arc in enumerate(instance.arcs, 1)
-            if arc.tail in s_side and arc.head not in s_side
-        )
+        yield _crossing(instance, s_side)

@@ -159,9 +159,9 @@ def _row_generation(instance, master, candidates):
 
     candidates(x, below) yields the responses whose payoff at the master's
     point x is below the threshold (x is None before the first solve:
-    score at the capacities) as (payoff, scenario, alive); alive() gives
-    the columns the response leaves alive and is called only for the rows
-    considered.  Each round adds the rows of at most m (the arc count)
+    score at the capacities) as (payoff, response); response() gives the
+    scenario and the columns it leaves alive, and is called only for the
+    rows considered.  Each round adds the rows of at most m (the arc count)
     responses violated by more than 1e-9 (1 + |z|), most violated first,
     skipping rows already in the master, and stops when it adds none.  A
     repeated row cannot cut off the current point and the rows are
@@ -178,10 +178,11 @@ def _row_generation(instance, master, candidates):
         if sol is not None:
             x, below = sol.x, sol.objective - 1e-9 * (1.0 + abs(sol.objective))
         added = 0
-        for _, scenario, alive in sorted(candidates(x, below), key=lambda c: c[0]):
+        for _, response in sorted(candidates(x, below), key=lambda c: c[0]):
             if added == instance.arc_count:
                 break
-            alive = frozenset(alive())
+            scenario, alive = response()
+            alive = frozenset(alive)
             if alive in rows:
                 continue
             coeffs = {z: 1.0, **{j: -1.0 for j in alive}}
@@ -213,15 +214,18 @@ def solve_rni(
         master.set_bounds(aid - 1, 0.0, float(caps[aid]))
     _add_conservation(master, instance, lambda aid: aid - 1)
 
+    def columns(response):
+        scenario, kept = response()
+        return scenario, [aid - 1 for aid in kept]
+
     def candidates(x, below):
         weights = caps
         if x is not None:
             weights = {a: float(v) for a, v in zip(instance.arc_ids(), x) if v > 1e-12}
-        for payoff, scenario, kept in removal_candidates(
-            instance, weights, scenario_limit
-        ):
+            below = Fraction(below)  # finite here; a Fraction compares faster
+        for payoff, response in removal_candidates(instance, weights, scenario_limit):
             if payoff < below:
-                yield payoff, scenario, lambda kept=kept: [aid - 1 for aid in kept()]
+                yield payoff, lambda response=response: columns(response)
 
     sol, strategy = _row_generation(instance, master, candidates)
     return RniSolution(
@@ -257,9 +261,14 @@ def solve_rni_path(
         for payoff, scenario in worst_path_removals(
             instance, support, instance.arc_count, below, scenario_limit
         ):
-            yield payoff, scenario, lambda removed=scenario.removed_set: [
-                p for p, path in enumerate(paths) if removed.isdisjoint(path)
-            ]
+
+            def response(scenario=scenario):
+                removed = scenario.removed_set
+                return scenario, [
+                    p for p, path in enumerate(paths) if removed.isdisjoint(path)
+                ]
+
+            yield payoff, response
 
     sol, strategy = _row_generation(instance, master, candidates)
     return RniSolution(

@@ -4,16 +4,109 @@ Most avoid the library's LP path and its best-response searches: they
 enumerate every scenario or every cut and work in exact rational
 arithmetic, so they can vouch for the solvers.  The two RNI references are
 complete LPs with one block or row per scenario, written up front, against
-which the solvers' row generation is checked.
+which the solvers' row generation is checked.  The flow reference is
+Edmonds-Karp in Fraction arithmetic, against which the library's integer
+kernel is checked.
 """
 
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 from interdict.game import payoff_arc, payoff_path, scenarios
-from interdict.graph import enumerate_paths, iter_cuts
+from interdict.graph import enumerate_paths, iter_cuts, resolve_capacities
 from interdict.linopt import LpProblem, solve_lp
 from interdict.lomodel import lo_value_at
 from interdict.solvers import _add_conservation, _add_scenario_flow
+
+
+@dataclass(frozen=True)
+class FractionCut:
+    value: Fraction
+    flows: dict  # arc id -> nonzero Fraction flow
+    s_side: frozenset
+    crossing: tuple
+    capacity: Fraction  # under the uncapped capacities
+
+
+def _augmenting_path(instance, caps, flows):
+    """Shortest augmenting path in the residual graph, scanning arcs in id
+    order (forward arcs before backward)."""
+    source, sink = instance.source, instance.sink
+    parent = {}
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for aid in instance.out_ids(u):
+            if flows[aid] < caps[aid]:
+                v = instance.arc(aid).head
+                if v not in seen:
+                    seen.add(v)
+                    parent[v] = (u, aid, True)
+                    if v == sink:
+                        return parent
+                    queue.append(v)
+        for aid in instance.in_ids(u):
+            if flows[aid] > 0:
+                v = instance.arc(aid).tail
+                if v not in seen:
+                    seen.add(v)
+                    parent[v] = (u, aid, False)
+                    queue.append(v)
+    return None
+
+
+def _residual_reachable(instance, caps, flows):
+    seen = {instance.source}
+    queue = deque([instance.source])
+    while queue:
+        u = queue.popleft()
+        for aid in instance.out_ids(u):
+            v = instance.arc(aid).head
+            if v not in seen and flows[aid] < caps[aid]:
+                seen.add(v)
+                queue.append(v)
+        for aid in instance.in_ids(u):
+            v = instance.arc(aid).tail
+            if v not in seen and flows[aid] > 0:
+                seen.add(v)
+                queue.append(v)
+    return frozenset(seen)
+
+
+def fraction_min_cut(instance, capacities=None, theta=None):
+    """Max flow and source-side-minimal min cut under the (default:
+    instance) capacities capped at theta, by Edmonds-Karp with every
+    amount a Fraction: the same augmenting order as graph.max_flow, so the
+    same flow.  The cut is the set of nodes reachable from the source in
+    the final residual graph."""
+    base = resolve_capacities(instance, capacities)
+    caps = resolve_capacities(instance, capacities, theta)
+    flows = [Fraction(0)] * len(caps)
+    while (parent := _augmenting_path(instance, caps, flows)) is not None:
+        path = []
+        v = instance.sink
+        while v != instance.source:
+            u, aid, forward = parent[v]
+            path.append((aid, forward))
+            v = u
+        bottleneck = min(caps[a] - flows[a] if fwd else flows[a] for a, fwd in path)
+        for aid, forward in path:
+            flows[aid] += bottleneck if forward else -bottleneck
+    s_side = _residual_reachable(instance, caps, flows)
+    crossing = tuple(
+        aid
+        for aid in instance.arc_ids()
+        if instance.arc(aid).tail in s_side and instance.arc(aid).head not in s_side
+    )
+    return FractionCut(
+        value=sum((flows[aid] for aid in instance.in_ids(instance.sink)), Fraction(0)),
+        flows={aid: flows[aid] for aid in instance.arc_ids() if flows[aid]},
+        s_side=s_side,
+        crossing=crossing,
+        capacity=sum((base[aid] for aid in crossing), Fraction(0)),
+    )
 
 
 def adaptive_by_scenarios(instance, flow):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from interdict.graph import Arc, ArcFlow, Instance, decompose, max_flow
+from interdict.graph import Arc, ArcFlow, Instance, decompose, max_flow, min_cut
 from interdict.game import (
     MixedStrategy,
     Scenario,
@@ -12,12 +12,13 @@ from interdict.game import (
     expected_payoff,
     payoff_arc,
     payoff_path,
+    removal_candidates,
     scenario_count,
     scenarios,
     worst_path_removals,
 )
-from interdict.instances import fig1, fig2a, random_instance
-from interdict.solvers import solve_rni_path
+from interdict.instances import fig1, fig2a, fig2b, random_instance
+from interdict.solvers import solve_rni, solve_rni_path
 from oracles import (
     adaptive_by_cuts,
     adaptive_by_scenarios,
@@ -155,6 +156,48 @@ class TestAdaptiveValueByCuts:
         x = saturating_flow(inst)
         assert adaptive_by_scenarios(inst, x) == adaptive_by_cuts(inst, x)
         assert adaptive_value(inst, x) == adaptive_by_cuts(inst, x)
+
+
+def rni_witness_case(name):
+    """The instance of one case; its shape pins the enumeration route."""
+    if name == "chain":
+        # 16 nodes: 5 unit arcs, then 14 links of 3 parallel arcs; gamma = 2
+        # gives 1,081 scenarios and 16,384 cuts
+        links = [(1,) * 5] + [(v % 4 + 3, v % 3 + 3, v % 5 + 3) for v in range(2, 16)]
+        arcs = tuple(Arc(v, v + 1, Fraction(c)) for v, cs in enumerate(links, 1) for c in cs)
+        return Instance(16, 1, 16, arcs, 2)
+    # 4 cuts against 1,378 and 286 scenarios
+    return fig2b(48, 2) if name == "fig2b_48_2" else fig2b(7, 3)
+
+
+class TestRemovalCandidates:
+    @pytest.mark.parametrize("name", ["chain", "fig2b_48_2", "fig2b_7_3"])
+    def test_float_weights_of_an_rni_witness(self, name):
+        inst = rni_witness_case(name)
+        by_scenarios = scenario_count(inst) < 1 << (inst.node_count - 2)
+        witness = solve_rni(inst).flow_witness
+        # floats, as solve_rni scores its rows
+        weights = {aid: float(x) for aid, x in witness.values.items()}
+        candidates = list(removal_candidates(inst, weights))
+        assert len(candidates) == (scenario_count(inst) if by_scenarios else 4)
+        least = min(payoff for payoff, _ in candidates)
+        for payoff, response in candidates:
+            scenario, kept = response()
+            exact = payoff_arc(inst, scenario, weights)[0]
+            assert type(payoff) is Fraction
+            if by_scenarios:
+                assert payoff == exact
+                removed = scenario.removed_set
+                survivors = {a: w for a, w in weights.items() if a not in removed}
+                crossing = min_cut(inst, survivors).crossing
+                assert kept == tuple(a for a in crossing if a not in removed)
+            else:
+                # a cut's payoff is its kept weight, which bounds the max flow
+                # left after its scenario and meets it at the least payoff
+                assert payoff == sum(Fraction(weights.get(a, 0)) for a in kept)
+                assert payoff >= exact and (payoff > least or payoff == exact)
+        assert least == adaptive_by_scenarios(inst, witness)
+        assert least == adaptive_by_cuts(inst, witness)
 
 
 class TestWorstPathRemovals:

@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
@@ -15,7 +17,10 @@ from interdict.graph import (
     min_cut,
     validate_flow,
 )
-from interdict.instances import fig1, fig2a, random_instance
+from interdict.instances import fig1, fig2a, fig2b, random_instance
+from interdict.lomodel import solve_lo
+from interdict.solvers import solve_rni
+from oracles import fraction_min_cut
 
 
 def single_arc(cap=5, gamma=1):
@@ -241,3 +246,56 @@ class TestCutHelpers:
     def test_iter_cuts_count(self):
         inst = random_instance(nodes=6, arcs=9, cap_max=4, gamma=1, seed=1)
         assert len(list(iter_cuts(inst))) == 2 ** 4
+
+
+def reference_case(kind, seed):
+    """An instance, capacities and theta of one kind of exact input."""
+    inst = random_instance(5 + seed % 4, 12, 9, 1 + seed % 2, 300 + seed)
+    if kind == "big_m" or (kind.startswith("theta") and seed % 2):
+        arcs = tuple(
+            replace(arc, capacity=None) if aid % 3 == 0 else arc
+            for aid, arc in enumerate(inst.arcs, 1)
+        )
+        inst = replace(inst, arcs=arcs)
+    if kind == "divided":
+        caps = {a: inst.effective_capacity(a) / (3, 7, 11)[a % 3] for a in inst.arc_ids()}
+        return inst, caps, None
+    if kind == "lp_point":  # Fraction(float) amounts: 2^-52-scale denominators
+        inst = (
+            fig2a(5, 2), fig2a(7, 2), fig1(7, 2), fig1(9, 3), fig2b(7, 3),
+            random_instance(8, 14, 7, 3, 417),
+        )[seed]
+        caps = dict(solve_rni(inst).flow_witness.values)
+        assert max(c.denominator for c in caps.values()) > 2**40
+        return inst, caps, None
+    if kind == "big_m":
+        return inst, None, None
+    # solve_lo's probes at theta* -/+ lo_cuts' eps
+    theta = solve_lo(inst).theta_star
+    d = math.lcm(*(inst.effective_capacity(a).denominator for a in inst.arc_ids()))
+    eps = Fraction(1, 2 * d * inst.arc_count**2)
+    return inst, None, theta + eps if kind == "theta_plus" else max(theta - eps, 0)
+
+
+class TestFractionReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "kind", ["divided", "lp_point", "big_m", "theta_minus", "theta_plus"]
+    )
+    def test_kernel_matches_fraction_edmonds_karp(self, kind, seed):
+        inst, caps, theta = reference_case(kind, seed)
+        ref = fraction_min_cut(inst, caps, theta)
+        if theta is not None:
+            caps = {a: min(inst.effective_capacity(a), theta) for a in inst.arc_ids()}
+        value, flow = max_flow(inst, caps)
+        report = min_cut(inst, caps if theta is None else None, theta)
+        assert value == flow.value == ref.value
+        assert flow.values == ref.flows
+        assert report.flow == flow
+        assert report.s_side == ref.s_side
+        assert report.crossing == ref.crossing
+        assert report.capacity == ref.capacity
+        amounts = [value, report.capacity, *flow.values.values()]
+        if theta is not None:
+            amounts.append(report.capacity_at_theta)
+        assert all(type(amount) is Fraction for amount in amounts)
