@@ -6,6 +6,15 @@ largest-coefficient pivots, so every solve either certifies a status
 (optimal / infeasible / unbounded) or raises NumericalFailure.  Optimal
 solutions are re-checked against the KKT conditions before being returned.
 
+The user's rows become one dense matrix (A, b, rel), and everything reads
+it: the standard form, the KKT re-check and its scale.  Each variable maps
+to nonnegative standard columns, x = shift + sum of sign_k * s_k: none
+for a fixed variable, one for a variable with a finite bound (sign -1 and
+shift = upper when only the upper bound is finite), two for a free one.
+A variable bounded on both sides adds the row s_k <= upper - lower.  The
+standard form is then A[:, src] * sign over the rows b - A @ shift, with
+the bound rows below, so its shape is known before the tableau is built.
+
 Row duals follow the sensitivity convention: ``duals[i]`` is the rate of
 change of the optimal objective per unit increase of row i's right-hand
 side.  For a maximization problem a binding ``<=`` row therefore carries a
@@ -17,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-9
 CHECK_TOL = 1e-7
 
 _RELATIONS = ("<=", "=", ">=")
@@ -84,70 +92,36 @@ class LpSolution:
         return f"LpSolution(status={self.status!r}, objective={self.objective!r})"
 
 
-class _Standardized:
-    """Internal min-LP over nonnegative variables plus the maps back."""
+def _matrix(problem: LpProblem):
+    """The user rows as one dense matrix: (A, b, rel)."""
+    m = len(problem.rows)
+    A = np.zeros((m, problem.num_vars))
+    b = np.empty(m)
+    rel = np.empty(m, dtype="<U2")
+    for i, (coeffs, r, rhs) in enumerate(problem.rows):
+        A[i, list(coeffs)] = list(coeffs.values())
+        b[i] = rhs
+        rel[i] = r
+    return A, b, rel
 
-    def __init__(self):
-        self.transforms = []  # per user var
-        self.ncols = 0
-        self.c = None
-        self.rows = []  # (dense coeff dict, rel, rhs, user_row_index or None)
-        self.sense_mult = 1.0
 
-
-def _standardize(problem: LpProblem) -> _Standardized:
-    std = _Standardized()
-    std.sense_mult = -1.0 if problem.sense == "max" else 1.0
-    bound_rows = []
-    for j in range(problem.num_vars):
-        lo, up = problem.lower[j], problem.upper[j]
-        if np.isfinite(lo) and np.isfinite(up) and lo == up:
-            std.transforms.append(("fixed", lo))
-        elif np.isfinite(lo):
-            col = std.ncols
-            std.ncols += 1
-            std.transforms.append(("shift", col, lo))
-            if np.isfinite(up):
-                bound_rows.append(({col: 1.0}, "<=", up - lo))
-        elif np.isfinite(up):
-            col = std.ncols
-            std.ncols += 1
-            std.transforms.append(("mirror", col, up))
-        else:
-            p, q = std.ncols, std.ncols + 1
-            std.ncols += 2
-            std.transforms.append(("split", p, q))
-
-    def transform(coeffs):
-        out: dict[int, float] = {}
-        const = 0.0
-        for j, a in coeffs.items():
-            t = std.transforms[j]
-            if t[0] == "fixed":
-                const += a * t[1]
-            elif t[0] == "shift":
-                out[t[1]] = out.get(t[1], 0.0) + a
-                const += a * t[2]
-            elif t[0] == "mirror":
-                out[t[1]] = out.get(t[1], 0.0) - a
-                const += a * t[2]
-            else:
-                out[t[1]] = out.get(t[1], 0.0) + a
-                out[t[2]] = out.get(t[2], 0.0) - a
-        return out, const
-
-    for idx, (coeffs, rel, rhs) in enumerate(problem.rows):
-        cc, const = transform(coeffs)
-        std.rows.append((cc, rel, rhs - const, idx))
-    for cc, rel, rhs in bound_rows:
-        std.rows.append((cc, rel, rhs, None))
-
-    obj_cc, _ = transform({j: problem.objective[j] for j in range(problem.num_vars)})
-    c = np.zeros(std.ncols)
-    for col, a in obj_cc.items():
-        c[col] = a
-    std.c = std.sense_mult * c
-    return std
+def _columns(problem: LpProblem):
+    """The column map of the module docstring as (shift, src, sign, boxed,
+    span): x_j = shift_j + sum of sign_k * s_k over the k with src_k = j,
+    and one row s_k <= span per boxed column k."""
+    lo, up = problem.lower, problem.upper
+    has_lo, has_up = np.isfinite(lo), np.isfinite(up)
+    fixed = has_lo & (lo == up)
+    free = ~has_lo & ~has_up
+    width = np.where(fixed, 0, np.where(free, 2, 1))
+    src = np.repeat(np.arange(problem.num_vars), width)
+    first = np.cumsum(width) - width
+    sign = np.ones(len(src))
+    sign[first[~has_lo & has_up]] = -1.0
+    sign[first[free] + 1] = -1.0
+    shift = np.where(has_lo, lo, np.where(has_up, up, 0.0))
+    boxed = np.nonzero(has_lo & has_up & ~fixed)[0]
+    return shift, src, sign, first[boxed], up[boxed] - lo[boxed]
 
 
 def _pivot(T, basis, row, col):
@@ -201,61 +175,43 @@ def _run_phase(T, basis, m, cost_row, allowed, bland_after, max_iter, iters):
         iters += 1
 
 
-def _solve_standard(std: _Standardized, max_iterations=None):
-    """Two-phase simplex on the standardized rows.
+def _solve_standard(A, b, rel, c, columns, max_iterations=None):
+    """Two-phase simplex for min c.x subject to A x (rel) b and the bounds,
+    over the nonnegative standard columns s that ``columns`` maps x to.
 
-    Returns (status, x_std, duals_per_std_row).
+    The standard rows, A[:, src] * sign over b - A @ shift and then
+    s_k <= span for each boxed column k, are written straight into the
+    tableau, so no second copy of A lives through the pivots.
+    Returns (status, s, duals_per_row).
     """
-    m = len(std.rows)
-    n = std.ncols
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    rel = []
-    for i, (cc, r, rhs, _) in enumerate(std.rows):
-        for col, a in cc.items():
-            A[i, col] = a
-        b[i] = rhs
-        rel.append(r)
-    flip = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            flip[i] = -1.0
-            rel[i] = {"<=": ">=", ">=": "<=", "=": "="}[rel[i]]
-
-    slack_col = {}
-    art_col = {}
-    extra = []
-    for i in range(m):
-        if rel[i] == "<=":
-            slack_col[i] = n + len(extra)
-            extra.append((i, 1.0, False))
-        elif rel[i] == ">=":
-            extra.append((i, -1.0, False))
-            art_col[i] = n + len(extra)
-            extra.append((i, 1.0, True))
-        else:
-            art_col[i] = n + len(extra)
-            extra.append((i, 1.0, True))
-    ntot = n + len(extra)
-    is_artificial = np.zeros(ntot, dtype=bool)
+    shift, src, sign, boxed, span = columns
+    b = np.concatenate([b - A @ shift, span])
+    rel = np.concatenate([rel, np.full(len(boxed), "<=")])
+    m, n = len(b), len(src)
+    flip = np.where(b < 0, -1.0, 1.0)
+    ge = np.where(flip < 0, rel == "<=", rel == ">=")
+    le = np.where(flip < 0, rel == ">=", rel == "<=")
+    # per row: a slack (<=), a surplus then an artificial (>=), or an
+    # artificial (=); ident is the row's +e_i column
+    width = 1 + ge
+    start = n + np.cumsum(width) - width
+    ident = start + ge
+    ntot = n + int(width.sum())
+    rows = np.arange(m)
     T = np.zeros((m + 2, ntot + 1))
-    T[:m, :n] = A
+    np.multiply(A[:, src], sign, out=T[: len(A), :n])
+    T[len(A) + np.arange(len(boxed)), boxed] = 1.0
+    T[:m, :n] *= flip[:, None]
+    b = b * flip
     T[:m, -1] = b
-    for k, (i, sign, art) in enumerate(extra):
-        T[i, n + k] = sign
-        is_artificial[n + k] = art
+    T[rows, ident] = 1.0
+    T[rows[ge], start[ge]] = -1.0
+    is_artificial = np.zeros(ntot, dtype=bool)
+    is_artificial[ident[~le]] = True
+    basis = ident.tolist()
 
-    basis = [-1] * m
-    for i in range(m):
-        basis[i] = art_col.get(i, slack_col.get(i))
-    identity_col = list(basis)  # +e_i column per row, for dual extraction
-
-    T[m, : len(std.c)] = std.c  # phase-2 reduced costs (basic costs are 0)
-    have_art = [i for i in range(m) if i in art_col]
-    for i in have_art:
-        T[m + 1] -= T[i]
+    T[m, :n] = c[src] * sign  # phase-2 reduced costs (basic costs are 0)
+    T[m + 1] -= T[:m][~le].sum(axis=0)
     T[m + 1, n:ntot][is_artificial[n:]] += 1.0
 
     if max_iterations is None:
@@ -263,8 +219,9 @@ def _solve_standard(std: _Standardized, max_iterations=None):
     bland_after = 2 * (m + ntot) + 200
     allowed = ~is_artificial
     iters = 0
+    keep = rows
 
-    if have_art:
+    if not le.all():  # phase 1 drives the artificials out
         status, iters = _run_phase(
             T, basis, m, m + 1, allowed, bland_after, max_iterations, iters
         )
@@ -273,96 +230,57 @@ def _solve_standard(std: _Standardized, max_iterations=None):
         # artificials may still be basic at level ~0; a positive phase-1
         # objective certifies infeasibility
         if -T[m + 1, -1] > CHECK_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return "infeasible", None, None, None
+            return "infeasible", None, None
         drop = []
         for i in range(m):
             if is_artificial[basis[i]]:
-                pivot_col = -1
-                row_vals = T[i, :ntot]
-                cands = np.nonzero(~is_artificial & (np.abs(row_vals) > 1e-9))[0]
+                cands = np.nonzero(~is_artificial & (np.abs(T[i, :ntot]) > 1e-9))[0]
                 if len(cands):
-                    pivot_col = int(cands[0])
-                if pivot_col >= 0:
-                    _pivot(T, basis, i, pivot_col)
+                    _pivot(T, basis, i, int(cands[0]))
                     iters += 1
                 else:
                     drop.append(i)
         if drop:
-            keep = [i for i in range(m) if i not in set(drop)]
+            keep = np.delete(rows, drop)
             T = np.delete(T, drop, axis=0)
             basis = [basis[i] for i in keep]
-            identity_col = [identity_col[i] for i in keep]
-            flip = flip[keep]
-            row_keep = keep
             m = len(keep)
-        else:
-            row_keep = list(range(m))
-    else:
-        row_keep = list(range(m))
 
     status, iters = _run_phase(
         T, basis, m, m, allowed, bland_after, max_iterations, iters
     )
     if status == "unbounded":
-        return "unbounded", None, None, None
+        return "unbounded", None, None
 
-    x_std = np.zeros(std.ncols)
-    for i in range(m):
-        if basis[i] < std.ncols:
-            x_std[basis[i]] = T[i, -1]
-    duals_std = np.zeros(len(std.rows))
-    for pos, orig_row in enumerate(row_keep):
-        y_flipped = -T[len(basis), identity_col[pos]]
-        duals_std[orig_row] = flip[pos] * y_flipped
-    return "optimal", x_std, duals_std, iters
+    s = np.zeros(n)
+    basic = np.array(basis, dtype=int)
+    structural = basic < n
+    s[basic[structural]] = T[:m, -1][structural]
+    duals = np.zeros(len(rows))
+    duals[keep] = flip[keep] * -T[m, ident[keep]]
+    return "optimal", s, duals
 
 
-def kkt_report(problem: LpProblem, solution: LpSolution) -> dict[str, float]:
-    """Absolute violation magnitudes of the optimality conditions:
-    primal feasibility, dual sign feasibility, stationarity at bounds,
-    complementary slackness, and the strong-duality gap."""
+def _kkt(problem: LpProblem, A, b, rel, solution: LpSolution) -> dict[str, float]:
     x = np.asarray(solution.x, dtype=float)
     y = np.asarray(solution.duals, dtype=float)
     sense = 1.0 if problem.sense == "max" else -1.0
-    primal = 0.0
-    cs = 0.0
-    dual_sign = 0.0
-    r = problem.objective.copy()
-    dual_obj = 0.0
-    for i, (coeffs, rel, rhs) in enumerate(problem.rows):
-        act = sum(a * x[j] for j, a in coeffs.items())
-        if rel == "<=":
-            primal = max(primal, act - rhs)
-            dual_sign = max(dual_sign, -sense * y[i])
-        elif rel == ">=":
-            primal = max(primal, rhs - act)
-            dual_sign = max(dual_sign, sense * y[i])
-        else:
-            primal = max(primal, abs(act - rhs))
-        cs = max(cs, abs(y[i] * (act - rhs)))
-        for j, a in coeffs.items():
-            r[j] -= y[i] * a
-        dual_obj += y[i] * rhs
-    stationarity = 0.0
-    for j in range(problem.num_vars):
-        lo, up = problem.lower[j], problem.upper[j]
-        primal = max(primal, lo - x[j], x[j] - up)
-        rj = r[j]
-        at_lo = np.isfinite(lo) and x[j] <= lo + 1e-7
-        at_up = np.isfinite(up) and x[j] >= up - 1e-7
-        # for max problems: interior => r = 0, at lower => r <= 0, at upper => r >= 0
-        lo_ok = sense * rj <= 0 or at_up
-        up_ok = sense * rj >= 0 or at_lo
-        if not (lo_ok and up_ok):
-            stationarity = max(stationarity, abs(rj))
-        if sense * rj > 0:
-            dual_obj += rj * (up if np.isfinite(up) else x[j])
-            if not np.isfinite(up):
-                stationarity = max(stationarity, abs(rj))
-        elif sense * rj < 0:
-            dual_obj += rj * (lo if np.isfinite(lo) else x[j])
-            if not np.isfinite(lo):
-                stationarity = max(stationarity, abs(rj))
+    lo, up = problem.lower, problem.upper
+    le, ge = rel == "<=", rel == ">="
+    resid = A @ x - b
+    violation = np.where(le, resid, np.where(ge, -resid, np.abs(resid)))
+    primal = max(violation.max(initial=0.0), (lo - x).max(), (x - up).max())
+    signed = np.where(le, -sense * y, np.where(ge, sense * y, 0.0))
+    dual_sign = signed.max(initial=0.0)
+    cs = np.abs(y * resid).max(initial=0.0)
+    # for max problems: interior => r = 0, at lower => r <= 0, at upper => r >= 0
+    r = problem.objective - A.T @ y
+    at_lo = np.isfinite(lo) & (x <= lo + 1e-7)
+    at_up = np.isfinite(up) & (x >= up - 1e-7)
+    bad = ((sense * r > 0) & ~at_up) | ((sense * r < 0) & ~at_lo)
+    stationarity = np.abs(r[bad]).max(initial=0.0)
+    bound = np.where(sense * r > 0, up, lo)
+    dual_obj = y @ b + r @ np.where(np.isfinite(bound), bound, x)
     gap = abs(solution.objective - dual_obj)
     return {
         "primal": float(primal),
@@ -373,16 +291,22 @@ def kkt_report(problem: LpProblem, solution: LpSolution) -> dict[str, float]:
     }
 
 
-def _scale(problem: LpProblem) -> float:
-    big = 1.0
-    for coeffs, _, rhs in problem.rows:
-        big = max(big, abs(rhs), *(abs(a) for a in coeffs.values()))
-    if len(problem.objective):
-        big = max(big, float(np.abs(problem.objective).max()))
+def kkt_report(problem: LpProblem, solution: LpSolution) -> dict[str, float]:
+    """Absolute violation magnitudes of the optimality conditions:
+    primal feasibility, dual sign feasibility, stationarity at bounds,
+    complementary slackness, and the strong-duality gap."""
+    return _kkt(problem, *_matrix(problem), solution)
+
+
+def _scale(problem: LpProblem, A, b) -> float:
     finite = problem.upper[np.isfinite(problem.upper)]
-    if len(finite):
-        big = max(big, float(np.abs(finite).max()))
-    return big
+    return max(
+        1.0,
+        np.abs(A).max(initial=0.0),
+        np.abs(b).max(initial=0.0),
+        np.abs(problem.objective).max(),
+        np.abs(finite).max(initial=0.0),
+    )
 
 
 def solve_lp(problem: LpProblem, max_iterations=None) -> LpSolution:
@@ -392,29 +316,22 @@ def solve_lp(problem: LpProblem, max_iterations=None) -> LpSolution:
     iteration cap or the optimum fails its KKT re-check; a wrong answer is
     never returned silently.
     """
-    std = _standardize(problem)
-    status, x_std, duals_std, _ = _solve_standard(std, max_iterations)
+    A, b, rel = _matrix(problem)
+    columns = _columns(problem)
+    shift, src, sign = columns[:3]
+    sense = -1.0 if problem.sense == "max" else 1.0
+    status, s, y = _solve_standard(
+        A, b, rel, sense * problem.objective, columns, max_iterations
+    )
     if status != "optimal":
         return LpSolution(status=status)
-    x = np.zeros(problem.num_vars)
-    for j, t in enumerate(std.transforms):
-        if t[0] == "fixed":
-            x[j] = t[1]
-        elif t[0] == "shift":
-            x[j] = t[2] + x_std[t[1]]
-        elif t[0] == "mirror":
-            x[j] = t[2] - x_std[t[1]]
-        else:
-            x[j] = x_std[t[1]] - x_std[t[2]]
-    duals = np.zeros(len(problem.rows))
-    for std_idx, (_, _, _, user_idx) in enumerate(std.rows):
-        if user_idx is not None:
-            duals[user_idx] = std.sense_mult * duals_std[std_idx]
+    x = shift.copy()
+    np.add.at(x, src, sign * s)
+    duals = sense * y[: len(b)]
     objective = float(problem.objective @ x)
     solution = LpSolution(status="optimal", x=x, duals=duals, objective=objective)
-    report = kkt_report(problem, solution)
-    tol = CHECK_TOL * _scale(problem)
-    bad = {k: v for k, v in report.items() if v > tol}
+    tol = CHECK_TOL * _scale(problem, A, b)
+    bad = {k: v for k, v in _kkt(problem, A, b, rel, solution).items() if v > tol}
     if bad:
         raise NumericalFailure(f"optimality re-check failed: {bad}")
     return solution

@@ -75,6 +75,7 @@ class Gamma1Solution:
     alpha: dict[int, float]  # per-arc removal probability
     rho: dict[int, float]  # per-arc dual weight on the capacity
     pi: dict[int, float]  # node potentials
+    witness: ArcFlow  # the arc rows' duals: a worst-case-optimal committed flow
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,12 @@ def solve_rni_gamma1(instance: Instance) -> Gamma1Solution:
     """Polynomial LP for gamma = 1: per-arc removal probabilities alpha,
     capacity weights rho, and node potentials pi minimizing the weighted
     capacity, subject to rho_e + alpha_e + pi_v - pi_w >= 0 on each arc
-    and a unit potential rise from source to sink."""
+    and a unit potential rise from source to sink.
+
+    The multipliers of the m arc rows form an s-t flow within the
+    capacities (stationarity in pi is conservation, in rho the capacity),
+    and the dual objective is its value minus its largest arc amount: the
+    worst single-removal payoff.  So the duals are the flow-side witness."""
     if instance.gamma != 1:
         raise GammaMismatch("this formulation requires gamma = 1")
     m = instance.arc_count
@@ -312,6 +318,7 @@ def solve_rni_gamma1(instance: Instance) -> Gamma1Solution:
         alpha={aid: float(sol.x[alp(aid)]) for aid in instance.arc_ids()},
         rho={aid: float(sol.x[rho(aid)]) for aid in instance.arc_ids()},
         pi={v: float(sol.x[pi(v)]) for v in range(1, n + 1)},
+        witness=_arc_flow_from_lp(instance, sol.duals[:m]),
     )
 
 
@@ -350,29 +357,6 @@ def gamma1_strategy(sol: Gamma1Solution) -> MixedStrategy:
     return MixedStrategy.normalized(
         (Scenario((aid,)), p) for aid, p in sol.alpha.items() if p > 1e-12
     )
-
-
-def gamma1_witness(instance: Instance) -> ArcFlow:
-    """Committed flow maximizing the worst single-arc-removal payoff,
-    valid as the flow-side certificate witness for gamma = 1."""
-    if instance.gamma != 1:
-        raise GammaMismatch("this witness requires gamma = 1")
-    m = instance.arc_count
-    sink_in = list(instance.in_ids(instance.sink))
-    lp = LpProblem(m + 1, sense="max")
-    z = m
-    lp.set_objective({z: 1.0})
-    for aid in instance.arc_ids():
-        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
-    _add_conservation(lp, instance, lambda aid: aid - 1)
-    val_coeffs = {aid - 1: 1.0 for aid in sink_in}
-    for aid in instance.arc_ids():
-        coeffs = {z: 1.0, aid - 1: 1.0}
-        for c, a in val_coeffs.items():
-            coeffs[c] = coeffs.get(c, 0.0) - a
-        lp.add_row(coeffs, "<=", 0.0)
-    sol = solve_lp(lp)
-    return _arc_flow_from_lp(instance, sol.x[:m])
 
 
 def best_response_arc(
@@ -464,10 +448,11 @@ def certify_gamma1(
     instance: Instance, sol: Gamma1Solution, tolerance: float = 1e-6
 ) -> CertificateReport:
     """Saddle check for the gamma=1 LP output: its per-arc strategy against
-    an exact best response, and a worst-case-optimal committed flow."""
-    strategy = gamma1_strategy(sol)
-    witness = gamma1_witness(instance)
+    an exact best response, and its dual flow against the worst removal."""
     solution = RniSolution(
-        value=sol.value, strategy=strategy, flow_witness=witness, method="gamma1"
+        value=sol.value,
+        strategy=gamma1_strategy(sol),
+        flow_witness=sol.witness,
+        method="gamma1",
     )
     return certify(instance, solution, kind="arc", tolerance=tolerance)

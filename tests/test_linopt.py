@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from interdict import linopt
 from interdict.linopt import (
     LpProblem,
+    LpSolution,
     NumericalFailure,
     kkt_report,
     solve_lp,
@@ -83,6 +85,49 @@ def random_feasible_lp(rng, max_vars=20, max_rows=20):
         margin = rng.uniform(0.1, 3.0)
         rhs = act + margin if rel == "<=" else act - margin
         prob.add_row(coeffs, rel, rhs)
+    return prob
+
+
+BOUND_KINDS = ("fixed", "box", "lifted", "upper", "free")
+
+
+def mixed_bounds_lp(rng):
+    """Feasible bounded LP holding every bound kind: fixed, [0,u], [l,u]
+    with l > 0, (-inf,u] and free, in a seeded order.  Rows around a random
+    point keep the variables without a lower bound from running away."""
+    kinds = list(BOUND_KINDS) + [rng.choice(BOUND_KINDS)]
+    rng.shuffle(kinds)
+    n = len(kinds)
+    prob = LpProblem(n, sense=rng.choice(["max", "min"]))
+    prob.set_objective({j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in range(n)})
+    x0 = np.zeros(n)
+    for j, kind in enumerate(kinds):
+        if kind == "fixed":
+            x0[j] = rng.randint(-3, 3)
+            prob.set_bounds(j, x0[j], x0[j])
+        elif kind == "box":
+            x0[j] = rng.uniform(0.5, 3)
+            prob.set_bounds(j, 0, rng.randint(4, 6))
+        elif kind == "lifted":
+            lo = rng.randint(1, 3)
+            x0[j] = lo + rng.uniform(0.5, 2)
+            prob.set_bounds(j, lo, lo + rng.randint(3, 5))
+        elif kind == "upper":
+            up = rng.randint(-2, 4)
+            x0[j] = up - rng.uniform(0.5, 2)
+            prob.set_bounds(j, -np.inf, up)
+            prob.add_row({j: 1}, ">=", x0[j] - rng.uniform(1, 4))
+        else:
+            x0[j] = rng.uniform(-3, 3)
+            prob.set_bounds(j, -np.inf, np.inf)
+            prob.add_row({j: 1}, ">=", x0[j] - rng.uniform(1, 4))
+            prob.add_row({j: 1}, "<=", x0[j] + rng.uniform(1, 4))
+    for _ in range(rng.randint(1, 3)):
+        coeffs = {j: rng.choice([-2, -1, 1, 2]) for j in rng.sample(range(n), k=3)}
+        act = sum(a * x0[j] for j, a in coeffs.items())
+        rel = rng.choice(["<=", ">=", "="])
+        margin = 0.0 if rel == "=" else rng.uniform(0.1, 2.0)
+        prob.add_row(coeffs, rel, act + margin if rel == "<=" else act - margin)
     return prob
 
 
@@ -196,3 +241,61 @@ class TestProperties:
         oracle = vertex_oracle(prob)
         assert oracle is not None
         assert sol.objective == pytest.approx(oracle, abs=1e-6)
+
+
+class TestBoundKinds:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_bound_kind_matches_vertex_enumeration(self, seed):
+        prob = mixed_bounds_lp(random.Random(20_000 + seed))
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(vertex_oracle(prob), abs=1e-6)
+        x = np.asarray(sol.x)
+        assert np.all(x >= prob.lower - 1e-9) and np.all(x <= prob.upper + 1e-9)
+        fixed = prob.lower == prob.upper
+        assert np.array_equal(x[fixed], prob.lower[fixed])
+        report = kkt_report(prob, sol)
+        assert max(report.values()) <= 1e-7 * (1.0 + abs(sol.objective))
+
+
+class TestOptimalityRecheck:
+    @staticmethod
+    def problem():
+        """max x0 + x1 with x0 in [0, 4], x1 >= 0, x0 + x1 <= 3, x0 >= 1:
+        value 3."""
+        prob = LpProblem(2)
+        prob.set_objective({0: 1, 1: 1})
+        prob.set_bounds(0, 0, 4)
+        prob.add_row({0: 1, 1: 1}, "<=", 3)
+        prob.add_row({0: 1}, ">=", 1)
+        return prob
+
+    def test_every_measure_sees_a_non_optimal_pair(self):
+        # x = (2, 2) breaks the <= row by 1; y = (-1, 1) has the wrong sign
+        # on both rows and is 1 on rows with slack 1; the reduced costs
+        # r = c - A'y = (1, 2) are nonzero at interior points; the dual
+        # objective is y.b + 1 * 4 + 2 * 2 = 6 against the primal 4
+        bad = LpSolution("optimal", x=np.array([2.0, 2.0]),
+                         duals=np.array([-1.0, 1.0]), objective=4.0)
+        report = kkt_report(self.problem(), bad)
+        assert report == {
+            "primal": 1.0,
+            "dual_sign": 1.0,
+            "stationarity": 2.0,
+            "complementary_slackness": 1.0,
+            "gap": 2.0,
+        }
+        sol = solve_lp(self.problem())
+        assert sol.objective == pytest.approx(3)
+        assert max(kkt_report(self.problem(), sol).values()) <= 1e-9
+
+    def test_perturbed_simplex_point_is_refused(self, monkeypatch):
+        solve_standard = linopt._solve_standard
+
+        def perturbed(*args):
+            status, s, duals = solve_standard(*args)
+            return status, s + 0.25, duals
+
+        monkeypatch.setattr(linopt, "_solve_standard", perturbed)
+        with pytest.raises(NumericalFailure, match="optimality re-check failed"):
+            solve_lp(self.problem())

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from interdict.graph import Arc, ArcFlow, Instance, max_flow
+from interdict.graph import Arc, ArcFlow, Instance, max_flow, validate_flow
 from interdict.game import (
     MixedStrategy,
     Scenario,
@@ -232,6 +232,10 @@ class TestGamma1:
         scale = 1 + abs(g1.value)
         assert abs(g1.value - arc.value) <= 1e-6 * scale
         assert abs(g1.value - path.value) <= 1e-6 * scale
+        # the arc rows' duals are the flow side of the saddle
+        assert validate_flow(inst, g1.witness).ok
+        assert abs(float(adaptive_value(inst, g1.witness)) - g1.value) <= 1e-6 * scale
+        assert certify_gamma1(inst, g1).passed
 
 
 class TestBestResponses:
