@@ -10,7 +10,8 @@ one way per payoff model, under one limit.  In the arc model
 removal_candidates enumerates the scenarios or the s-t cuts, whichever are
 fewer, on the weights scaled once to integers over their common
 denominator (one max flow per scenario gives its payoff and its kept
-arcs), and worst_removal is its first minimizer.  In the path model
+arcs), and worst_removal is its first minimizer; the same max flows score
+a mixed strategy's support in the arc certificate.  In the path model
 worst_path_removals is a branch-and-bound search.  The solvers' rows and
 certificates and the deterministic value all come from these.
 """
@@ -173,15 +174,16 @@ def removal_candidates(
     when even the fewer exceed the limit.  The weights are scaled to
     integers over their common denominator once.  A cut's scenario is
     Scenario.covering of its gamma heaviest arcs; a scenario's payoff and
-    kept arcs, the min cut left after it, come from one max flow.
+    kept arcs, the min cut left after it, come from one max flow
+    (_scenario_responses).
     """
     nscen, ncuts = scenario_count(instance), 1 << (instance.node_count - 2)
     if min(nscen, ncuts) > scenario_limit:
         raise ScenarioLimitExceeded(
             f"{nscen} scenarios and {ncuts} cuts exceed the limit of {scenario_limit}"
         )
-    w, d = _scaled(resolve_capacities(instance, weights))
     if ncuts <= nscen:
+        w, d = _scaled(resolve_capacities(instance, weights))
         gamma = instance.gamma
         for crossing in iter_cuts(instance):
             ranked = sorted(crossing, key=lambda aid: (-w[aid], aid))
@@ -191,7 +193,17 @@ def removal_candidates(
 
             yield Fraction(sum(w[aid] for aid in ranked[gamma:]), d), cut_response
         return
-    for scenario in scenarios(instance, limit=scenario_limit):
+    removals = scenarios(instance, limit=scenario_limit)
+    yield from _scenario_responses(instance, weights, removals)
+
+
+def _scenario_responses(instance, weights, removals):
+    """Each scenario's payoff_arc within the arc weights, in order, as
+    (payoff, response): one max flow on the weights scaled once to
+    integers.  response() gives the scenario and its kept arcs, the
+    flow's min cut minus the removed arcs."""
+    w, d = _scaled(resolve_capacities(instance, weights))
+    for scenario in removals:
         caps = list(w)
         for aid in scenario.removed:
             caps[aid] = 0

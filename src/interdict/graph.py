@@ -117,6 +117,17 @@ class Instance:
         """Arc tails and heads, indexed by arc id (entry 0 unused)."""
         return [0] + [a.tail for a in self.arcs], [0] + [a.head for a in self.arcs]
 
+    @cached_property
+    def _cuts(self) -> tuple[tuple[ArcId, ...], ...]:
+        """Every s-t cut's crossing arc ids (iter_cuts), built once."""
+        inner = self.internal_nodes()
+        return tuple(
+            _crossing(
+                self, {self.source} | {v for i, v in enumerate(inner) if mask >> i & 1}
+            )
+            for mask in range(1 << len(inner))
+        )
+
     def out_ids(self, node: int) -> Sequence[ArcId]:
         return self._adjacency[0][node]
 
@@ -468,9 +479,7 @@ def validate_flow(
 def iter_cuts(instance: Instance) -> Iterator[tuple[ArcId, ...]]:
     """The crossing arc ids of every s-t cut, in a fixed order.
 
-    There are 2^(n-2) cuts; callers enforce their own size limits.
+    There are 2^(n-2) cuts, built once per instance and kept on it; callers
+    enforce their own size limits.
     """
-    inner = instance.internal_nodes()
-    for mask in range(1 << len(inner)):
-        s_side = {instance.source} | {v for i, v in enumerate(inner) if mask >> i & 1}
-        yield _crossing(instance, s_side)
+    return iter(instance._cuts)

@@ -8,18 +8,18 @@ from LP duals and can be re-validated with an independent two-sided
 certificate (certify): the flow witness is checked against the
 interdictor's exact best response in its payoff model (game.worst_removal,
 the same oracle solve_ni applies to the capacities, or
-game.worst_path_removals) and the strategy against an exact best-response
-LP.
+game.worst_path_removals) and the strategy against the flow player's.
 
-Both RNI values come from one constraint-generation loop
-(_row_generation).  Each is a maximum over the flow player's variables of
-the least payoff over gamma-arc removals: an LP with one row per removal
-(in the arc model, by max-flow/min-cut, the committed flow over a cut
-minus the removed arcs), of which only the few binding at the optimum are
-needed.  The loop grows a small master LP with the rows of the responses
-its current point violates, taken from game's best response for the
-model, and reads the strategy off the row duals.  How those responses are
-found, and the one limit on it, is game's alone.
+Both RNI values and the arc model's flow-player best response come from
+one constraint-generation loop (_row_generation).  Each is a maximum over
+the flow player's variables of payoffs that are least over gamma-arc
+removals: an LP with one row per removal (in the arc model, by
+max-flow/min-cut, the committed flow over a cut minus the removed arcs),
+of which only the few binding at the optimum are needed.  The loop grows a
+small master LP with the rows of the responses its current point violates,
+taken from game's best response for the model; the solvers read the
+strategy off the row duals.  How those responses are found, and the one
+limit on it, is game's alone.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .game import (
     MixedStrategy,
     Scenario,
     adaptive_value,
+    _scenario_responses,
     payoff_arc,
     removal_candidates,
     worst_path_removals,
@@ -66,7 +67,6 @@ class RniSolution:
     value: float
     strategy: MixedStrategy
     flow_witness: Union[ArcFlow, PathFlow]
-    method: str = ""
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,6 @@ def _add_path_capacities(lp, instance, paths):
         lp.add_row(coeffs, "<=", float(instance.effective_capacity(aid)))
 
 
-def _add_conservation(lp, instance, col_of):
-    for v in instance.internal_nodes():
-        coeffs: dict[int, float] = {}
-        for aid in instance.out_ids(v):
-            col = col_of(aid)
-            coeffs[col] = coeffs.get(col, 0.0) + 1.0
-        for aid in instance.in_ids(v):
-            col = col_of(aid)
-            coeffs[col] = coeffs.get(col, 0.0) - 1.0
-        lp.add_row(coeffs, "=", 0.0)
-
-
 def solve_ni(
     instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> NiSolution:
@@ -137,57 +125,44 @@ def solve_ni(
     return NiSolution(value=value, witness_scenario=witness, witness_flow=flow)
 
 
-def _add_scenario_flow(lp, instance, scenario, base):
-    """Inner flow y in columns base.. surviving the scenario and routed
-    within the committed flow x in columns 0..m-1; returns y's column map."""
-
-    def ycol(aid):
-        return base + aid - 1
-
-    for aid in scenario.removed:
-        lp.set_bounds(ycol(aid), 0.0, 0.0)
-    _add_conservation(lp, instance, ycol)
-    for aid in instance.arc_ids():
-        if aid not in scenario.removed_set:
-            lp.add_row({ycol(aid): 1.0, aid - 1: -1.0}, "<=", 0.0)
-    return ycol
-
-
-def _row_generation(instance, master, candidates):
-    """Maximize the master LP's last column z over the flow player's other
-    columns, subject to one row z <= (sum of the columns a response leaves
-    alive) per interdictor response generated so far.
+def _row_generation(instance, master, objective, candidates):
+    """Maximize the objective, a map from z columns to their weights, over
+    the master LP's other columns (the flow player's), subject to one row
+    z <= (sum of the columns a response leaves alive) per interdictor
+    response generated for that z so far.
 
     candidates(x, below) yields the responses whose payoff at the master's
-    point x is below the threshold (x is None before the first solve:
-    score at the capacities) as (payoff, response); response() gives the
-    scenario and the columns it leaves alive, and is called only for the
-    rows considered.  Each round adds the rows of at most m (the arc count)
-    responses violated by more than 1e-9 (1 + |z|), most violated first,
-    skipping rows already in the master, and stops when it adds none.  A
-    repeated row cannot cut off the current point and the rows are
-    finitely many, so the loop ends.  Returns the last LP solution and the
-    mixed strategy of the rows' duals.
+    point x is below below(z) for their z (before the first solve x is
+    None, to score at the capacities, and below(z) is infinite) as
+    (payoff, response); response() gives the scenario, the z and the
+    columns it leaves alive, and is called only for the rows considered.
+    Each round adds the rows of at most m (the arc count) responses per z
+    violated by more than 1e-9 (1 + |z|), least payoff first, skipping rows
+    already in the master, and stops when it adds none.  A repeated row
+    cannot cut off the current point and the rows are finitely many, so
+    the loop ends.  Returns the last LP solution and the mixed strategy of
+    the rows' duals.
     """
-    z = master.num_vars - 1
-    master.set_objective({z: 1.0})
-    master.set_bounds(z, -math.inf, math.inf)  # free: the row duals sum to 1
-    rows: dict[frozenset, tuple[int, Scenario]] = {}
+    master.set_objective(objective)
+    for z in objective:  # free, so the duals of its rows sum to its weight
+        master.set_bounds(z, -math.inf, math.inf)
+    rows: dict[tuple[int, frozenset], tuple[int, Scenario]] = {}
     sol = None
     while True:
-        x, below = None, math.inf
+        x, below = None, lambda z: math.inf
         if sol is not None:
-            x, below = sol.x, sol.objective - 1e-9 * (1.0 + abs(sol.objective))
+            x = sol.x
+            below = lambda z: float(x[z]) - 1e-9 * (1.0 + abs(float(x[z])))
         added = 0
         for _, response in sorted(candidates(x, below), key=lambda c: c[0]):
-            if added == instance.arc_count:
+            if added == instance.arc_count * len(objective):
                 break
-            scenario, alive = response()
-            alive = frozenset(alive)
-            if alive in rows:
+            scenario, z, alive = response()
+            key = (z, frozenset(alive))
+            if key in rows:
                 continue
             coeffs = {z: 1.0, **{j: -1.0 for j in alive}}
-            rows[alive] = (master.add_row(coeffs, "<=", 0.0), scenario)
+            rows[key] = (master.add_row(coeffs, "<=", 0.0), scenario)
             added += 1
         if not added:
             break
@@ -196,6 +171,31 @@ def _row_generation(instance, master, candidates):
         (scenario, max(0.0, float(sol.duals[row]))) for row, scenario in rows.values()
     )
     return sol, strategy
+
+
+def _arc_master(instance, zs):
+    """The committed arc flow x in columns 0..m-1, within the capacities
+    and conserved at every internal node, then zs z columns."""
+    master = LpProblem(instance.arc_count + zs, sense="max")
+    for aid in instance.arc_ids():
+        master.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
+    for v in instance.internal_nodes():
+        row = {aid - 1: 1.0 for aid in instance.out_ids(v)}
+        for aid in instance.in_ids(v):
+            row[aid - 1] = row.get(aid - 1, 0.0) - 1.0
+        master.add_row(row, "=", 0.0)
+    return master
+
+
+def _arc_weights(instance, x):
+    """The capacities before the first solve, then the master's flow."""
+    if x is None:
+        return {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
+    return {a: float(v) for a, v in zip(instance.arc_ids(), x) if v > 1e-12}
+
+
+def _kept_row(z, scenario, kept):
+    return scenario, z, [aid - 1 for aid in kept]
 
 
 def solve_rni(
@@ -209,31 +209,23 @@ def solve_rni(
     the removed arcs.
     """
     m = instance.arc_count
-    caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
-    master = LpProblem(m + 1, sense="max")
-    for aid in instance.arc_ids():
-        master.set_bounds(aid - 1, 0.0, float(caps[aid]))
-    _add_conservation(master, instance, lambda aid: aid - 1)
-
-    def columns(response):
-        scenario, kept = response()
-        return scenario, [aid - 1 for aid in kept]
 
     def candidates(x, below):
-        weights = caps
+        below = below(m)
         if x is not None:
-            weights = {a: float(v) for a, v in zip(instance.arc_ids(), x) if v > 1e-12}
             below = Fraction(below)  # finite here; a Fraction compares faster
+        weights = _arc_weights(instance, x)
         for payoff, response in removal_candidates(instance, weights, scenario_limit):
             if payoff < below:
-                yield payoff, lambda response=response: columns(response)
+                yield payoff, lambda response=response: _kept_row(m, *response())
 
-    sol, strategy = _row_generation(instance, master, candidates)
+    sol, strategy = _row_generation(
+        instance, _arc_master(instance, 1), {m: 1.0}, candidates
+    )
     return RniSolution(
         value=sol.objective,
         strategy=strategy,
         flow_witness=_arc_flow_from_lp(instance, sol.x[:m]),
-        method="arc",
     )
 
 
@@ -260,23 +252,22 @@ def solve_rni_path(
         flow = bottlenecks if x is None else [float(v) for v in x[:npaths]]
         support = [(path, f) for path, f in zip(paths, flow) if f > 1e-12]
         for payoff, scenario in worst_path_removals(
-            instance, support, instance.arc_count, below, scenario_limit
+            instance, support, instance.arc_count, below(npaths), scenario_limit
         ):
 
             def response(scenario=scenario):
                 removed = scenario.removed_set
-                return scenario, [
+                return scenario, npaths, [
                     p for p, path in enumerate(paths) if removed.isdisjoint(path)
                 ]
 
             yield payoff, response
 
-    sol, strategy = _row_generation(instance, master, candidates)
+    sol, strategy = _row_generation(instance, master, {npaths: 1.0}, candidates)
     return RniSolution(
         value=sol.objective,
         strategy=strategy,
         flow_witness=_path_flow_from_lp(paths, sol.x),
-        method="path",
     )
 
 
@@ -363,21 +354,24 @@ def best_response_arc(
     instance: Instance, alpha: MixedStrategy
 ) -> tuple[float, ArcFlow]:
     """Exact value of the flow player's best committed flow against the
-    mixed strategy, via one coupled inner flow per support scenario."""
+    mixed strategy: solve_rni's master with one z_k per support scenario
+    S_k, weighted by its probability, each bounded by x over the min cut
+    of one max flow within x once S_k is removed, minus S_k."""
     m = instance.arc_count
-    sink_in = list(instance.in_ids(instance.sink))
-    support = list(alpha.support)
-    lp = LpProblem(m * (1 + len(support)), sense="max")
-    for aid in instance.arc_ids():
-        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
-    _add_conservation(lp, instance, lambda aid: aid - 1)
-    objective: dict[int, float] = {}
-    for k, (scenario, prob) in enumerate(support):
-        ycol = _add_scenario_flow(lp, instance, scenario, m + k * m)
-        for aid in sink_in:
-            objective[ycol(aid)] = objective.get(ycol(aid), 0.0) + prob
-    lp.set_objective(objective)
-    sol = solve_lp(lp)
+    # p = 0 adds nothing to the value, and a p < 0 would leave z_k unbounded
+    support = [(scenario, p) for scenario, p in alpha.support if p > 0]
+    removals = [scenario for scenario, _ in support]
+
+    def candidates(x, below):
+        responses = _scenario_responses(instance, _arc_weights(instance, x), removals)
+        for z, (payoff, response) in enumerate(responses, start=m):
+            if payoff < below(z):
+                yield payoff, lambda z=z, response=response: _kept_row(z, *response())
+
+    objective = {m + k: p for k, (_, p) in enumerate(support)}
+    sol, _ = _row_generation(
+        instance, _arc_master(instance, len(support)), objective, candidates
+    )
     return sol.objective, _arc_flow_from_lp(instance, sol.x[:m])
 
 
@@ -453,6 +447,5 @@ def certify_gamma1(
         value=sol.value,
         strategy=gamma1_strategy(sol),
         flow_witness=sol.witness,
-        method="gamma1",
     )
     return certify(instance, solution, kind="arc", tolerance=tolerance)

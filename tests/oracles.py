@@ -4,9 +4,11 @@ Most avoid the library's LP path and its best-response searches: they
 enumerate every scenario or every cut and work in exact rational
 arithmetic, so they can vouch for the solvers.  The two RNI references are
 complete LPs with one block or row per scenario, written up front, against
-which the solvers' row generation is checked.  The flow reference is
-Edmonds-Karp in Fraction arithmetic, against which the library's integer
-kernel is checked.
+which the solvers' row generation is checked; the arc best response to a
+mixed strategy is likewise checked against one complete LP with an inner
+flow block per support scenario.  The flow reference is Edmonds-Karp in
+Fraction arithmetic, against which the library's integer kernel is
+checked.
 """
 
 from collections import deque
@@ -17,7 +19,6 @@ from interdict.game import payoff_arc, payoff_path, scenarios
 from interdict.graph import enumerate_paths, iter_cuts, resolve_capacities
 from interdict.linopt import LpProblem, solve_lp
 from interdict.lomodel import lo_value_at
-from interdict.solvers import _add_conservation, _add_scenario_flow
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,56 @@ def theta_sweep(instance):
             best = value
             best_theta = theta
     return best, best_theta
+
+
+def _add_conservation(lp, instance, col_of):
+    """Flow conservation at every internal node for the arc flow in the
+    columns col_of(arc id)."""
+    for v in instance.internal_nodes():
+        coeffs = {}
+        for aid in instance.out_ids(v):
+            coeffs[col_of(aid)] = coeffs.get(col_of(aid), 0.0) + 1.0
+        for aid in instance.in_ids(v):
+            coeffs[col_of(aid)] = coeffs.get(col_of(aid), 0.0) - 1.0
+        lp.add_row(coeffs, "=", 0.0)
+
+
+def _add_scenario_flow(lp, instance, scenario, base):
+    """Inner flow y in columns base.. surviving the scenario and routed
+    within the committed flow x in columns 0..m-1; returns y's column map."""
+
+    def ycol(aid):
+        return base + aid - 1
+
+    for aid in scenario.removed:
+        lp.set_bounds(ycol(aid), 0.0, 0.0)
+    _add_conservation(lp, instance, ycol)
+    for aid in instance.arc_ids():
+        if aid not in scenario.removed_set:
+            lp.add_row({ycol(aid): 1.0, aid - 1: -1.0}, "<=", 0.0)
+    return ycol
+
+
+def best_response_by_block_lp(instance, alpha):
+    """The flow player's best committed flow x against the mixed strategy
+    from one LP: x within the capacities, and per support scenario an inner
+    flow within x that survives it, its value weighted by the scenario's
+    probability.  Returns (value, x as a list over the arcs)."""
+    m = instance.arc_count
+    sink_in = list(instance.in_ids(instance.sink))
+    support = list(alpha.support)
+    lp = LpProblem(m * (1 + len(support)), sense="max")
+    for aid in instance.arc_ids():
+        lp.set_bounds(aid - 1, 0.0, float(instance.effective_capacity(aid)))
+    _add_conservation(lp, instance, lambda aid: aid - 1)
+    objective = {}
+    for k, (scenario, prob) in enumerate(support):
+        ycol = _add_scenario_flow(lp, instance, scenario, m + k * m)
+        for aid in sink_in:
+            objective[ycol(aid)] = objective.get(ycol(aid), 0.0) + prob
+    lp.set_objective(objective)
+    sol = solve_lp(lp)
+    return sol.objective, list(sol.x[:m])
 
 
 def rni_by_scenario_lp(instance):

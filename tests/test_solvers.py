@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from interdict import solvers
 from interdict.graph import Arc, ArcFlow, Instance, max_flow, validate_flow
 from interdict.game import (
     MixedStrategy,
@@ -10,8 +11,10 @@ from interdict.game import (
     ScenarioLimitExceeded,
     adaptive_value,
     expected_payoff,
+    scenarios,
 )
 from interdict.instances import fig1, fig2a, fig2b, random_instance
+from interdict.linopt import solve_lp
 from interdict.solvers import (
     GammaMismatch,
     best_response_arc,
@@ -19,6 +22,7 @@ from interdict.solvers import (
     certify,
     certify_gamma1,
     gamma1_residuals,
+    gamma1_strategy,
     solve_ni,
     solve_rni,
     solve_rni_gamma1,
@@ -27,6 +31,7 @@ from interdict.solvers import (
 from oracles import (
     adaptive_by_cuts,
     adaptive_by_scenarios,
+    best_response_by_block_lp,
     rni_by_scenario_lp,
     rni_path_by_scenario_lp,
 )
@@ -34,6 +39,29 @@ from oracles import (
 
 def single_arc(cap=5):
     return Instance(2, 1, 2, (Arc(1, 2, Fraction(cap)),), 1)
+
+
+def best_response_case(case):
+    """An instance and a mixed strategy against it: for an integer case, a
+    seeded random DAG (gamma 1-3) and 1-12 of its scenarios with random
+    weights; otherwise a solver's strategy."""
+    if case == "fig2a_100_3-solve_rni":
+        inst = fig2a(100, 3)
+        return inst, solve_rni(inst).strategy
+    if case == "gamma1-random_6_9_7_1_401":
+        inst = random_instance(nodes=6, arcs=9, cap_max=7, gamma=1, seed=401)
+        return inst, gamma1_strategy(solve_rni_gamma1(inst))
+    rng = random.Random(case)
+    inst = random_instance(
+        nodes=rng.randint(4, 7),
+        arcs=rng.randint(8, 12),
+        cap_max=rng.randint(2, 9),
+        gamma=1 + case % 3,
+        seed=rng.randrange(2**31),
+    )
+    removals = scenarios(inst)
+    chosen = rng.sample(removals, min(rng.randint(1, 12), len(removals)))
+    return inst, MixedStrategy.normalized((s, rng.random() + 0.01) for s in chosen)
 
 
 def chain(caps, gamma=1):
@@ -263,6 +291,33 @@ class TestBestResponses:
         sol = solve_rni(inst)
         value, _ = best_response_arc(inst, sol.strategy)
         assert value == pytest.approx(10.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "case", [*range(120), "fig2a_100_3-solve_rni", "gamma1-random_6_9_7_1_401"]
+    )
+    def test_arc_matches_block_lp(self, case):
+        inst, alpha = best_response_case(case)
+        value, witness = best_response_arc(inst, alpha)
+        oracle, _ = best_response_by_block_lp(inst, alpha)
+        tol = 1e-9 * (1 + abs(value))
+        assert abs(value - oracle) <= tol
+        assert validate_flow(inst, witness).ok
+        assert expected_payoff(inst, alpha, witness) >= value - tol
+
+    def test_arc_certificate_lps_are_no_wider_than_the_master(self, monkeypatch):
+        # the master is the arc flow plus one column per support scenario
+        inst = fig2a(100, 3)
+        sol = solve_rni(inst)
+        widths = []
+
+        def recording(problem, *args, **kwargs):
+            widths.append(problem.num_vars)
+            return solve_lp(problem, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_lp", recording)
+        assert certify(inst, sol, kind="arc").passed
+        assert widths
+        assert max(widths) <= inst.arc_count + len(sol.strategy.support) == 108
 
     def test_path_degenerate_uses_post_removal_graph(self):
         inst = fig2a(6, 2)
