@@ -259,8 +259,6 @@ def cmd_solve(args) -> int:
         extra["theta_star"] = float(sol.theta_star)
         extra["flow_value"] = float(sol.flow_value)
     else:  # gamma1
-        if instance.gamma != 1:
-            raise GammaMismatch("gamma1 requires gamma = 1")
         sol = solve_rni_gamma1(instance)
         value = sol.value
         strategy = gamma1_strategy(sol)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -184,8 +184,8 @@ class PathFlow:
 
 @dataclass(frozen=True)
 class CutReport:
-    """An s-t cut, optionally evaluated under the capped capacities u(theta),
-    with the max flow that located it (under those capacities)."""
+    """An s-t cut with the max flow that located it.  Only the parametric
+    model (lomodel) fills the theta fields, for a cut read at theta."""
 
     s_side: frozenset[int]
     crossing: tuple[ArcId, ...]
@@ -216,18 +216,14 @@ class ValidationReport:
 def resolve_capacities(
     instance: Instance,
     capacities: Optional[Mapping[ArcId, Numeric]] = None,
-    theta: Optional[Numeric] = None,
 ) -> list[Fraction]:
     """1-indexed capacity vector, defaulting to the instance capacities."""
     caps = [Fraction(0)] * (instance.arc_count + 1)
     for aid in instance.arc_ids():
         if capacities is not None:
-            base = as_fraction(capacities.get(aid, 0))
+            caps[aid] = as_fraction(capacities.get(aid, 0))
         else:
-            base = instance.effective_capacity(aid)
-        if theta is not None:
-            base = min(base, as_fraction(theta))
-        caps[aid] = base
+            caps[aid] = instance.effective_capacity(aid)
     return caps
 
 
@@ -316,34 +312,24 @@ def max_flow(
 def min_cut(
     instance: Instance,
     capacities: Optional[Mapping[ArcId, Numeric]] = None,
-    theta: Optional[Numeric] = None,
 ) -> CutReport:
-    """Source-side-minimal minimum cut, optionally under u(theta).
+    """Source-side-minimal minimum cut under the given (default: instance)
+    capacities.
 
     The cut is the set of nodes reachable from the source in the final
     residual graph, which makes the report canonical and deterministic.
     The report carries that max flow, the one max_flow returns under the
-    same capacities.  When ``theta`` is given, capacities become
-    min(u_e, theta) and the report carries the sets of crossing arcs with
-    theta <= u_e and theta < u_e.
+    same capacities, and the cut's capacity under them.
     """
-    base = resolve_capacities(instance, capacities)
-    capped = resolve_capacities(instance, capacities, theta)
-    caps, d = _scaled(capped)
-    value, flows, s_side = _augment(instance, caps)
+    caps = resolve_capacities(instance, capacities)
+    scaled, d = _scaled(caps)
+    value, flows, s_side = _augment(instance, scaled)
     crossing = _crossing(instance, s_side)
-    capacity = sum((base[aid] for aid in crossing), start=Fraction(0))
-    flow = _arc_flow(value, flows, d)
-    report = CutReport(s_side=s_side, crossing=crossing, capacity=capacity, flow=flow)
-    if theta is None:
-        return report
-    th = as_fraction(theta)
-    return replace(
-        report,
-        theta=th,
-        capacity_at_theta=sum((capped[aid] for aid in crossing), start=Fraction(0)),
-        tight_at_or_below=frozenset(aid for aid in crossing if th <= base[aid]),
-        strictly_below=frozenset(aid for aid in crossing if th < base[aid]),
+    return CutReport(
+        s_side=s_side,
+        crossing=crossing,
+        capacity=sum((caps[aid] for aid in crossing), start=Fraction(0)),
+        flow=_arc_flow(value, flows, d),
     )
 
 

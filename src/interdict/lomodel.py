@@ -4,12 +4,14 @@ The model caps every arc flow at a common threshold theta and maximizes
 flow value minus gamma * theta; its optimum lower-bounds every game value.
 Its value at theta is the min-cut value under capacities min(u_e, theta)
 minus gamma * theta, a concave piecewise-linear function whose
-supergradients a min cut gives exactly.  solve_lo finds the largest
-maximizer theta* by an exact tangent search over min cuts (no LP), which is
-what makes the two certificate cuts of lo_cuts exist: a min cut whose
-crossing arcs at-or-above theta* number at least gamma, and one whose
-strictly-above arcs number fewer than gamma.  lo_cuts reads them off two
-min cuts at theta* -/+ an exact epsilon.
+supergradients a min cut gives exactly.  Every cut this module reads comes
+from one evaluator, _cut_at: graph.min_cut under u(probe theta), reported
+at theta (the theta fields of CutReport are filled here only).  solve_lo
+finds the largest maximizer theta* by an exact tangent search over min
+cuts (no LP), which is what makes the two certificate cuts of lo_cuts
+exist: a min cut whose crossing arcs at-or-above theta* number at least
+gamma, and one whose strictly-above arcs number fewer than gamma.  lo_cuts
+reads them off two min cuts at theta* -/+ an exact epsilon.
 
 approx_report assembles all solver values, the cuts, and every ratio with
 its guaranteed bound into one verdict table.
@@ -100,6 +102,22 @@ def lo_value_at(instance: Instance, theta: Numeric) -> Fraction:
     return max_flow(instance, _capped(instance, th))[0] - instance.gamma * th
 
 
+def _cut_at(instance: Instance, probe_theta: Fraction, theta: Fraction) -> CutReport:
+    """The min cut under u(probe_theta), reported at theta: its capacity
+    under u and under u(theta), and its crossing arcs with theta <= u_e and
+    theta < u_e."""
+    cut = min_cut(instance, _capped(instance, probe_theta))
+    caps = {aid: instance.effective_capacity(aid) for aid in cut.crossing}
+    return replace(
+        cut,
+        capacity=sum(caps.values(), Fraction(0)),
+        theta=theta,
+        capacity_at_theta=sum((min(c, theta) for c in caps.values()), Fraction(0)),
+        tight_at_or_below=frozenset(a for a in caps if theta <= caps[a]),
+        strictly_below=frozenset(a for a in caps if theta < caps[a]),
+    )
+
+
 def _probe(
     instance: Instance, theta: Fraction
 ) -> tuple[Fraction, int, int, ArcFlow]:
@@ -107,7 +125,7 @@ def _probe(
     cut C under u(theta): |{e in C: u_e > theta}| - gamma and
     |{e in C: u_e >= theta}| - gamma.  Both are supergradients.  Last, the
     max flow under u(theta) that located C."""
-    cut = min_cut(instance, theta=theta)
+    cut = _cut_at(instance, theta, theta)
     gamma = instance.gamma
     return (
         cut.capacity_at_theta - gamma * theta,
@@ -155,19 +173,6 @@ def solve_lo(instance: Instance) -> LoSolution:
     )
 
 
-def _cut_at_theta(instance, probe_theta, theta) -> CutReport:
-    """Min cut located at the probe threshold, reported at theta."""
-    located = min_cut(instance, theta=probe_theta)
-    caps = {aid: instance.effective_capacity(aid) for aid in located.crossing}
-    return replace(
-        located,
-        theta=theta,
-        capacity_at_theta=sum((min(c, theta) for c in caps.values()), Fraction(0)),
-        tight_at_or_below=frozenset(a for a in caps if theta <= caps[a]),
-        strictly_below=frozenset(a for a in caps if theta < caps[a]),
-    )
-
-
 def lo_cuts(
     instance: Instance, solution: LoSolution
 ) -> tuple[CutReport, CutReport]:
@@ -189,8 +194,8 @@ def lo_cuts(
         *(instance.effective_capacity(aid).denominator for aid in instance.arc_ids())
     )
     eps = Fraction(1, 2 * d * m * m)
-    s_prime = _cut_at_theta(instance, theta - eps if theta > 0 else theta, theta)
-    s_dblprime = _cut_at_theta(instance, theta + eps, theta)
+    s_prime = _cut_at(instance, theta - eps if theta > 0 else theta, theta)
+    s_dblprime = _cut_at(instance, theta + eps, theta)
     flow_value = solution.flow_value
     if not s_prime.capacity_at_theta == s_dblprime.capacity_at_theta == flow_value:
         raise InvariantViolation("a probe cut is not minimal at theta*")
@@ -217,10 +222,7 @@ def _ratio_row(name, num, den, bound, tol) -> BoundCheck:
         return BoundCheck(name, None, bound, "NA")
     if den <= tol:
         return BoundCheck(name, None, bound, "NA")
-    lhs = num / den
-    ok = lhs <= bound + tol * (1.0 + abs(bound))
-    tight = abs(lhs - bound) <= tol * (1.0 + abs(bound))
-    return BoundCheck(name, lhs, bound, "PASS" if ok else "FAIL", tight)
+    return _le_row(name, num / den, bound, tol)
 
 
 def _le_row(name, lhs, rhs, tol) -> BoundCheck:
@@ -294,25 +296,10 @@ def approx_report(
         _ratio_row("Z_NI/Z_RNI^Path", z_ni, z_rni_path, float(gamma + 1), tol),
         _ratio_row("Z_RNI/Z_RNI^Path", z_rni, z_rni_path, float(gamma), tol),
     ]
-    if theta > 0:
-        bounds.append(
-            BoundCheck(
-                "|A(S',theta*)|>=gamma",
-                float(a),
-                float(gamma),
-                "PASS" if a >= gamma else "FAIL",
-            )
-        )
-    else:
-        bounds.append(BoundCheck("|A(S',theta*)|>=gamma", float(a), float(gamma), "NA"))
-    bounds.append(
-        BoundCheck(
-            "|B(S'',theta*)|<gamma",
-            float(b),
-            float(gamma),
-            "PASS" if b < gamma else "FAIL",
-        )
-    )
+    # lo_cuts has raised InvariantViolation if either cut condition fails
+    verdict = "PASS" if theta > 0 else "NA"  # at theta* = 0 S' is unchecked
+    bounds.append(BoundCheck("|A(S',theta*)|>=gamma", float(a), float(gamma), verdict))
+    bounds.append(BoundCheck("|B(S'',theta*)|<gamma", float(b), float(gamma), "PASS"))
     bounds.append(
         _eq_row(
             "Z_NI==Z_LO (small Z_LO)",

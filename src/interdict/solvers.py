@@ -45,6 +45,7 @@ from .graph import (
     Instance,
     PathFlow,
     enumerate_paths,
+    validate_flow,
 )
 from .linopt import LpProblem, solve_lp
 
@@ -409,12 +410,23 @@ def certify(
     """Two-sided saddle check, independent of how the solution was found.
 
     flow_gap = value - (worst scenario payoff of the witness); adversary_gap
-    = (exact best response against the strategy) - value.  PASS iff both
-    are within tolerance * (1 + value) in absolute value; FAIL is data,
-    not an error.
+    = (exact best response against the strategy) - value.  PASS iff the
+    witness is a feasible flow (validate_flow within the tolerance) and
+    both gaps are within tolerance * (1 + value) in absolute value; FAIL is
+    data, not an error.  A witness of the other model's type, or a support
+    scenario that is not gamma distinct arc ids of the instance, raises
+    ValueError.
     """
-    if kind not in ("arc", "path"):
+    witness_type = {"arc": ArcFlow, "path": PathFlow}.get(kind)
+    if witness_type is None:
         raise ValueError("kind must be 'arc' or 'path'")
+    if not isinstance(solution.flow_witness, witness_type):
+        raise ValueError(f"kind {kind!r} needs a {witness_type.__name__} witness")
+    m = instance.arc_count
+    for scenario, _ in solution.strategy.support:
+        removed = scenario.removed  # sorted and distinct
+        if len(removed) != instance.gamma or not 1 <= removed[0] <= removed[-1] <= m:
+            raise ValueError(f"scenario {removed}: need {instance.gamma} ids in 1..{m}")
     value = float(solution.value)
     if kind == "arc":
         worst = adaptive_value(instance, solution.flow_witness, scenario_limit)
@@ -429,7 +441,8 @@ def certify(
     flow_gap = value - float(worst)
     adversary_gap = adversary - value
     tol = tolerance * (1.0 + abs(value))
-    passed = abs(flow_gap) <= tol and abs(adversary_gap) <= tol
+    feasible = validate_flow(instance, solution.flow_witness, tolerance).ok
+    passed = feasible and abs(flow_gap) <= tol and abs(adversary_gap) <= tol
     return CertificateReport(
         flow_gap=flow_gap,
         adversary_gap=adversary_gap,

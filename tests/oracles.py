@@ -83,7 +83,7 @@ def fraction_min_cut(instance, capacities=None, theta=None):
     same flow.  The cut is the set of nodes reachable from the source in
     the final residual graph."""
     base = resolve_capacities(instance, capacities)
-    caps = resolve_capacities(instance, capacities, theta)
+    caps = base if theta is None else [min(c, Fraction(theta)) for c in base]
     flows = [Fraction(0)] * len(caps)
     while (parent := _augmenting_path(instance, caps, flows)) is not None:
         path = []

@@ -4,6 +4,7 @@ import pytest
 
 from interdict.cli import main
 from interdict.instances import fig2a, parse, serialize
+from interdict.linopt import NumericalFailure
 
 
 @pytest.fixture
@@ -102,6 +103,33 @@ class TestSolve:
         assert "Z_RNI = 1.5" in stdout
         assert "PASS" in stdout
 
+    @pytest.mark.parametrize(
+        "model, extra",
+        [
+            ("ni", {"witness_removal": [1, 2]}),
+            ("lo", {"theta_star": 2.0, "flow_value": 6.0}),
+        ],
+    )
+    def test_models_without_strategy_json(self, fig2a_file, capsys, model, extra):
+        code, stdout, _ = run(capsys, "solve", "--model", model, fig2a_file, "--json")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["strategy"] == []
+        assert payload["certificate"] is None
+        assert {key: payload.get(key) for key in extra} == extra
+
+    def test_numerical_failure_exits_three(self, fig2a_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalFailure("no status certified")
+
+        monkeypatch.setattr("interdict.solvers.solve_lp", fail)
+        code, stdout, _ = run(capsys, "solve", "--model", "rni", fig2a_file, "--json")
+        assert code == 3
+        assert json.loads(stdout)["error"] == {
+            "kind": "numerical",
+            "message": "no status certified",
+        }
+
     def test_lo_model(self, fig2a_file, capsys):
         code, stdout, _ = run(capsys, "solve", "--model", "lo", fig2a_file)
         assert code == 0
@@ -194,3 +222,9 @@ class TestReport:
         assert code == 0
         payload = json.loads(stdout)
         assert set(payload["skipped"]) == {"ni", "rni", "rni_path"}
+
+    def test_partial_table_line(self, fig2a_file, capsys):
+        code, stdout, _ = run(capsys, "report", fig2a_file, "--scenario-limit", "3")
+        assert code == 0
+        assert "partial result: skipped rni_path (limits)" in stdout
+        assert "Z_RNI^Path = n/a" in stdout

@@ -276,6 +276,23 @@ class TestPayoffOrdering:
 
 
 class TestMixedStrategy:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MixedStrategy(((Scenario((1,)), 0.5), (Scenario((1,)), 0.5))),
+            lambda: MixedStrategy(((Scenario((1,)), -0.5), (Scenario((2,)), 1.5))),
+            lambda: MixedStrategy.normalized([(Scenario((1,)), 0.0)]),
+            lambda: estimate_expected_payoff(
+                fig2a(2, 1), MixedStrategy.degenerate(Scenario((1,))),
+                max_flow(fig2a(2, 1))[1], samples=0, seed=0,
+            ),
+        ],
+        ids=["duplicate-scenario", "negative-probability", "no-mass", "zero-samples"],
+    )
+    def test_invalid_input_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             MixedStrategy(((Scenario((1,)), 0.5),))

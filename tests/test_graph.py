@@ -18,7 +18,7 @@ from interdict.graph import (
     validate_flow,
 )
 from interdict.instances import fig1, fig2a, fig2b, random_instance
-from interdict.lomodel import solve_lo
+from interdict.lomodel import _cut_at, solve_lo
 from interdict.solvers import solve_rni
 from oracles import fraction_min_cut
 
@@ -72,6 +72,25 @@ class TestInstance:
         with pytest.raises(ValueError, match="gamma"):
             Instance(2, 1, 2, (Arc(1, 2, Fraction(1)),), 2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Arc(1, 2, Fraction(-1)),
+            lambda: Instance(1, 1, 1, (), 1),
+            lambda: Instance(2, 1, 1, (Arc(1, 2, Fraction(1)),), 1),
+            lambda: Instance(2, 1, 3, (Arc(1, 2, Fraction(1)),), 1),
+            lambda: Instance(2, 1, 2, (Arc(1, 3, Fraction(1)),), 1),
+            lambda: enumerate_paths(fig2a(2, 1), limit=0),
+        ],
+        ids=[
+            "negative-capacity", "one-node", "source-is-sink", "sink-out-of-range",
+            "arc-endpoint-out-of-range", "path-limit-zero",
+        ],
+    )
+    def test_invalid_input_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_big_m_exceeds_finite_total(self):
         inst = fig2a(6, 2)
         assert inst.big_m == 7  # 1 + six unit capacities
@@ -121,21 +140,23 @@ class TestMaxFlow:
 
 
 class TestMinCut:
+    # the theta cases read the cut through lomodel's evaluator, the one
+    # place that caps at theta and fills the theta fields
     def test_fig2a_theta_two_prefers_source_side_minimal(self):
-        report = min_cut(fig2a(6, 2), theta=2)
+        report = _cut_at(fig2a(6, 2), Fraction(2), Fraction(2))
         assert report.s_side == frozenset({1})
         assert report.capacity_at_theta == 6
         assert report.tight_at_or_below == frozenset()
         assert report.strictly_below == frozenset()
 
     def test_single_arc_theta(self):
-        report = min_cut(single_arc(5), theta=3)
+        report = _cut_at(single_arc(5), Fraction(3), Fraction(3))
         assert report.capacity_at_theta == 3
         assert report.tight_at_or_below == frozenset({1})
         assert report.strictly_below == frozenset({1})
 
     def test_parallel_arcs_theta_sets(self):
-        report = min_cut(parallel_arcs([1, 4]), theta=1)
+        report = _cut_at(parallel_arcs([1, 4]), Fraction(1), Fraction(1))
         assert report.capacity_at_theta == 2
         assert report.tight_at_or_below == frozenset({1, 2})
         assert report.strictly_below == frozenset({2})
@@ -288,7 +309,7 @@ class TestFractionReference:
         if theta is not None:
             caps = {a: min(inst.effective_capacity(a), theta) for a in inst.arc_ids()}
         value, flow = max_flow(inst, caps)
-        report = min_cut(inst, caps if theta is None else None, theta)
+        report = min_cut(inst, caps) if theta is None else _cut_at(inst, theta, theta)
         assert value == flow.value == ref.value
         assert flow.values == ref.flows
         assert report.flow == flow

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from interdict.graph import max_flow
+from interdict.graph import Arc, Instance, max_flow
 from interdict.instances import (
     GeneratorSpec,
     ParseError,
@@ -79,6 +79,59 @@ class TestGenerators:
         spec = GeneratorSpec(family="fig2a", gamma=2, k=6)
         assert generate(spec) == fig2a(6, 2)
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (GeneratorSpec(family="fig1", gamma=2, k=12), fig1(12, 2)),
+            (GeneratorSpec(family="fig2b", gamma=2, k=12), fig2b(12, 2)),
+            (
+                GeneratorSpec(family="fig2b", gamma=2, k=12, fig2b_prose=True),
+                fig2b(12, 2, prose=True),
+            ),
+            (GeneratorSpec(family="thm6", gamma=4, k=9), thm6(9, 4)),
+        ],
+        ids=["fig1", "fig2b", "fig2b-prose", "thm6"],
+    )
+    def test_generate_dispatches_every_family(self, spec, expected):
+        assert generate(spec) == expected
+
+
+def one_arc(capacity):
+    return Instance(2, 1, 2, (Arc(1, 2, capacity),), 1)
+
+
+def random_spec(**changes):
+    fields = dict(family="random", gamma=1, seed=0, nodes=4, arcs=3, cap_max=2)
+    return GeneratorSpec(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: GeneratorSpec(family="fig3", gamma=1, k=3), SpecInvalid),
+        (lambda: GeneratorSpec(family="fig1", gamma=0, k=3), SpecInvalid),
+        (lambda: GeneratorSpec(family="thm6", gamma=1, k=0), SpecInvalid),
+        (lambda: random_spec(nodes=1), SpecInvalid),
+        (lambda: random_spec(arcs=0), SpecInvalid),
+        (lambda: random_spec(cap_max=0), SpecInvalid),
+        (lambda: random_spec(seed=None), SpecInvalid),
+        (lambda: random_spec(gamma=4), SpecInvalid),
+        (lambda: fig2a(2, 2), SpecInvalid),
+        (lambda: fig2b(2, 2), SpecInvalid),
+        (lambda: thm6(0, 1), SpecInvalid),
+        (lambda: random_instance(6, 2, 5, 1, 0), SpecInvalid),  # 3 backbone arcs
+        (lambda: serialize(one_arc(Fraction(1, 3))), ValueError),
+    ],
+    ids=[
+        "unknown-family", "gamma-zero", "thm6-k-zero", "random-nodes", "random-arcs",
+        "random-cap-max", "random-seed", "random-gamma-over-arcs", "fig2a-k",
+        "fig2b-k", "thm6-k", "random-backbone", "capacity-without-decimal",
+    ],
+)
+def test_invalid_generator_input_raises(build, error):
+    with pytest.raises(error):
+        build()
+
 
 class TestVariantComparisons:
     """Recorded comparisons for the two families whose written and drawn
@@ -138,6 +191,11 @@ class TestSerialize:
     def test_fractional_capacity_shortest_decimal(self):
         text = serialize(fig1(13, 2))  # 3K/2 = 19.5
         assert "a 1 2 19.5" in text
+
+    def test_factor_five_capacity(self):
+        inst = one_arc(Fraction(1, 5))
+        assert serialize(inst).splitlines()[-1] == "a 1 2 0.2"
+        assert parse(serialize(inst)) == inst
 
     @pytest.mark.parametrize(
         "inst",
@@ -200,6 +258,32 @@ class TestParse:
         text = "p interdict 3 1 1\nn 1 s\nn 2 s\nn 3 t\na 1 3 1\n"
         with pytest.raises(ParseError, match="duplicate source"):
             parse(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p interdict 2 1 1\np interdict 2 1 1\n", 2),  # duplicate problem line
+            ("p interdict 2 1\n", 1),  # malformed problem line
+            ("p interdict 2 x 1\n", 1),
+            ("p interdict 2 1 1\nn 1 q\n", 2),  # malformed node line
+            ("p interdict 2 1 1\nn x s\n", 2),
+            ("p interdict 2 1 1\nn 3 s\n", 2),  # node id out of range
+            ("p interdict 2 1 1\nn 1 s\nn 2 t\nn 2 t\n", 4),  # duplicate sink
+            ("p interdict 2 1 1\nn 1 s\na 1 2 1\n", 3),  # arc before the sink
+            ("p interdict 2 1 1\nn 1 s\nn 2 t\na 1 2\n", 4),  # malformed arc line
+            ("p interdict 2 1 1\nn 1 s\nn 2 t\na 1 x 1\n", 4),
+            ("p interdict 2 1 1\nn 1 s\nn 2 t\na 1 3 1\n", 4),  # endpoint range
+            ("p interdict 2 1 1\nq 1\n", 2),  # unknown line tag
+            ("", 1),  # missing problem line
+            ("p interdict 2 1 1\nn 2 t\n", 2),  # missing source
+            ("p interdict 2 1 1\nn 1 s\n", 2),  # missing sink
+            ("p interdict 2 1 1\nn 1 s\nn 1 t\n", 3),  # source equals sink
+        ],
+    )
+    def test_malformed_input_names_its_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
 
     def test_decimal_capacities_exact(self):
         text = "p interdict 2 1 1\nn 1 s\nn 2 t\na 1 2 0.3\n"

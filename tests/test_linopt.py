@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from interdict import linopt
+from interdict.instances import fig1, fig2a
 from interdict.linopt import (
     LpProblem,
     LpSolution,
@@ -12,6 +13,7 @@ from interdict.linopt import (
     kkt_report,
     solve_lp,
 )
+from interdict.solvers import solve_rni, solve_rni_path
 
 
 def vertex_oracle(problem):
@@ -132,6 +134,21 @@ def mixed_bounds_lp(rng):
 
 
 class TestBasics:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LpProblem(1, sense="maximize"),
+            lambda: LpProblem(0),
+            lambda: LpProblem(1).set_bounds(0, 2, 1),
+            lambda: LpProblem(1).add_row({0: 1}, "<", 1),
+            lambda: LpProblem(1).add_row({1: 1}, "<=", 1),
+        ],
+        ids=["sense", "no-variables", "lower-over-upper", "relation", "column"],
+    )
+    def test_invalid_input_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_box_maximum(self):
         prob = LpProblem(1)
         prob.set_objective({0: 1})
@@ -299,3 +316,44 @@ class TestOptimalityRecheck:
         monkeypatch.setattr(linopt, "_solve_standard", perturbed)
         with pytest.raises(NumericalFailure, match="optimality re-check failed"):
             solve_lp(self.problem())
+
+
+@pytest.fixture
+def bland_only(monkeypatch):
+    """Bland's rule from the first pivot instead of after the
+    largest-coefficient ones: every phase runs with bland_after = -1."""
+    run_phase = linopt._run_phase
+
+    def bland(T, basis, m, cost_row, allowed, bland_after, max_iter, iters):
+        return run_phase(T, basis, m, cost_row, allowed, -1, max_iter, iters)
+
+    monkeypatch.setattr(linopt, "_run_phase", bland)
+
+
+class TestBlandsRule:
+    """The anti-cycling rule alone reaches the same certified optima."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_lp_matches_vertex_enumeration(self, bland_only, seed):
+        prob = random_feasible_lp(random.Random(10_000 + seed), max_vars=5, max_rows=6)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(vertex_oracle(prob), abs=1e-6)
+        assert max(kkt_report(prob, sol).values()) <= 1e-7 * (1.0 + abs(sol.objective))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_bound_kind_matches_vertex_enumeration(self, bland_only, seed):
+        prob = mixed_bounds_lp(random.Random(20_000 + seed))
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(vertex_oracle(prob), abs=1e-6)
+        assert max(kkt_report(prob, sol).values()) <= 1e-7 * (1.0 + abs(sol.objective))
+
+    @pytest.mark.parametrize(
+        "family, k, values",
+        [(fig1, 12, (10.0, 8.0)), (fig2a, 6, (2.0, 2.0))],  # (Z_RNI, Z_RNI^Path)
+    )
+    def test_game_solvers_reach_the_closed_forms(self, bland_only, family, k, values):
+        inst = family(k, 2)
+        assert solve_rni(inst).value == pytest.approx(values[0], abs=1e-9)
+        assert solve_rni_path(inst).value == pytest.approx(values[1], abs=1e-9)

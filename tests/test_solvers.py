@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from interdict import solvers
-from interdict.graph import Arc, ArcFlow, Instance, max_flow, validate_flow
+from interdict.graph import Arc, ArcFlow, Instance, PathFlow, max_flow, validate_flow
 from interdict.game import (
     MixedStrategy,
     Scenario,
@@ -379,6 +379,38 @@ class TestCertify:
         report = certify(inst, worse, kind="arc")
         assert not report.passed
         assert report.adversary_gap > 0.1
+
+    def test_infeasible_witness_fails(self):
+        # fig2a(6,2): Z_RNI = 2; 2 on each unit arc is over capacity, and
+        # both gaps of this wrong value 4 are 0
+        inst = fig2a(6, 2)
+        loads = {**dict.fromkeys(range(1, 7), 2), 7: 4, 8: 4, 9: 4}
+        strategy = MixedStrategy.degenerate(Scenario((1, 2)))
+        wrong = solvers.RniSolution(4.0, strategy, ArcFlow.from_values(inst, loads))
+        report = certify(inst, wrong, kind="arc")
+        assert report.flow_gap == report.adversary_gap == 0
+        assert not report.passed
+
+    @pytest.mark.parametrize(
+        "removed, kind, witness",
+        [
+            ((7, 8, 9), "arc", ArcFlow({}, Fraction(0))),  # three arcs at gamma = 2
+            ((7, 8, 9), "path", PathFlow(())),
+            ((7, 99), "arc", ArcFlow({}, Fraction(0))),  # no arc 99
+        ],
+    )
+    def test_scenario_not_a_gamma_set_raises(self, removed, kind, witness):
+        strategy = MixedStrategy.degenerate(Scenario(removed))
+        with pytest.raises(ValueError, match="scenario"):
+            certify(fig2a(6, 2), solvers.RniSolution(0.0, strategy, witness), kind=kind)
+
+    @pytest.mark.parametrize(
+        "solve, kind", [(solve_rni, "path"), (solve_rni_path, "arc")]
+    )
+    def test_witness_of_the_other_model_raises(self, solve, kind):
+        inst = fig2a(6, 2)
+        with pytest.raises(ValueError, match="witness"):
+            certify(inst, solve(inst), kind=kind)
 
     def test_degenerate_gamma_all_arcs(self):
         inst = chain([2, 3], gamma=2)
