@@ -199,7 +199,7 @@ class CutReport:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "capacity" | "conservation" | "negative" | "path"
+    kind: str  # "capacity" | "conservation" | "negative" | "path" | "value"
     where: str
     magnitude: float
 
@@ -420,6 +420,10 @@ def _check_arc_flow(instance, flow: ArcFlow, tol: float) -> list[Violation]:
         scale = 1 + max(float(inflow), float(outflow))
         if float(gap) > tol * scale:
             out.append(Violation("conservation", f"node {v}", float(gap)))
+    net = sum((flow.get(a) for a in instance.in_ids(instance.sink)), start=Fraction(0))
+    gap = abs(as_fraction(flow.value) - net)
+    if float(gap) > tol * (1 + abs(float(net))):
+        out.append(Violation("value", "sink", float(gap)))
     return out
 
 
@@ -452,14 +456,19 @@ def validate_flow(
     flow: Union[ArcFlow, PathFlow],
     tolerance: float = 1e-6,
 ) -> ValidationReport:
-    """List every capacity/conservation violation; empty report iff the
-    flow is feasible within the relative tolerance.  Violations are data,
-    not errors."""
+    """List every capacity/conservation violation, and for an ArcFlow a
+    value other than its net flow into the sink; empty report iff the flow
+    is feasible within the relative tolerance.  Violations are data, not
+    errors; an arc id outside 1..m is not a flow of the instance and
+    raises ValueError."""
     if isinstance(flow, ArcFlow):
-        found = _check_arc_flow(instance, flow, tolerance)
+        named, check = flow.values, _check_arc_flow
     else:
-        found = _check_path_flow(instance, flow, tolerance)
-    return ValidationReport(violations=tuple(found))
+        named = {aid for path, _ in flow.entries for aid in path}
+        check = _check_path_flow
+    if any(not 1 <= aid <= instance.arc_count for aid in named):
+        raise ValueError(f"witness arc ids must lie in 1..{instance.arc_count}")
+    return ValidationReport(violations=tuple(check(instance, flow, tolerance)))
 
 
 def iter_cuts(instance: Instance) -> Iterator[tuple[ArcId, ...]]:

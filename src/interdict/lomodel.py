@@ -11,16 +11,22 @@ finds the largest maximizer theta* by an exact tangent search over min
 cuts (no LP), which is what makes the two certificate cuts of lo_cuts
 exist: a min cut whose crossing arcs at-or-above theta* number at least
 gamma, and one whose strictly-above arcs number fewer than gamma.  lo_cuts
-reads them off two min cuts at theta* -/+ an exact epsilon.
+reads them off two min cuts at theta* -/+ an exact epsilon.  The RNI
+solvers run the same search with Z_NI as its target, stopping as soon as
+it decides whether the model reaches it: every probe value is at most
+Z_LO, so one that equals Z_NI closes the game.
 
 approx_report assembles all solver values, the cuts, and every ratio with
-its guaranteed bound into one verdict table.
+its guaranteed bound into one verdict table.  Where Z_LO = Z_NI it takes
+both RNI solutions from the NI removal and the LO witness, with no second
+solve, and its nominal max flow is the search's probe past the largest
+capacity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -32,15 +38,17 @@ from .graph import (
     Numeric,
     PathLimitExceeded,
     as_fraction,
+    decompose,
     max_flow,
     min_cut,
 )
 from .solvers import (
     DEFAULT_PATH_LIMIT,
     RniSolution,
+    _closed,
+    _rni_path_rows,
+    _rni_rows,
     solve_ni,
-    solve_rni,
-    solve_rni_path,
 )
 
 
@@ -55,6 +63,8 @@ class LoSolution:
     theta_star: Fraction
     flow: ArcFlow
     flow_value: Fraction
+    # the search's max flow under the capacities, when it made that probe
+    _nominal: Optional[ArcFlow] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,41 +145,73 @@ def _probe(
     )
 
 
-def solve_lo(instance: Instance) -> LoSolution:
-    """Maximize flow value minus gamma * theta over (flow, theta), taking
-    the largest theta among optima, exactly.
+def _search(
+    instance: Instance, target: Optional[Fraction] = None, start: Fraction = Fraction(0)
+) -> tuple[Fraction, Fraction, ArcFlow, Optional[ArcFlow]]:
+    """The exact tangent search for the model's largest maximizer theta*;
+    with a target, it stops as soon as it decides whether the model value
+    reaches the target.
 
     The model value f(theta) is concave and piecewise linear, and a min cut
     at theta gives a tangent line on each side.  The search keeps a point a
     whose right tangent rises (slope >= 0) and a point b whose left tangent
-    falls (slope < 0), starting from 0 and from one past the largest
-    capacity, and probes where the two tangents meet.  It stops when f
-    there reaches the tangents' value or the probe cut's right slope is
-    negative and its left slope is not; otherwise the probe replaces a or
-    b.  Every step lowers the tangents' bound or moves b past a new line,
-    so it ends after finitely many min cuts.  The witness flow is the
-    max flow of the last probe, the one at theta*.
+    falls (slope < 0), found by probing start, then 0 or one past the
+    largest capacity for the one still missing, and then probes where the
+    two tangents meet.  It stops at theta* when a probe reaches the
+    tangents' value or its cut's right slope is negative and its left slope
+    (at 0, none) is not; otherwise the probe replaces a or b.  Every step
+    lowers the tangents' bound or moves b past a new line, so it ends after
+    finitely many min cuts.
+
+    A target comes with a start past which f stays below it.  For Z_NI
+    that is the least capacity theta_0 in an NI minimizer S*: removing S*
+    costs a max flow under u(theta) at most the sum over S* of
+    min(u_e, theta), which is below gamma theta once theta > theta_0, and
+    leaves at most Z_NI.  The search then stops at a probe whose value is
+    the target, and decides that none reaches it once the tangents' bound
+    falls below it or the probe at start rises to its right (f on
+    [0, start] then stays at most f(start)).
+
+    Returns the last probe's theta, value and max flow, and the max flow
+    under the capacities when the probe past the largest capacity was made.
     """
-    a = Fraction(0)
-    fa, ra, _, flow = _probe(instance, a)
-    theta = a
-    if ra >= 0:
-        b = max(instance.effective_capacity(aid) for aid in instance.arc_ids()) + 1
-        fb, _, lb, _ = _probe(instance, b)
-        while True:
-            theta = (fb - fa + a * ra - b * lb) / (ra - lb)
-            value, right, left, flow = _probe(instance, theta)
-            if value == fa + (theta - a) * ra or right < 0 <= left:
-                break
-            if right >= 0:
-                a, fa, ra = theta, value, right
-            else:
-                b, fb, lb = theta, value, left
+    top = max(instance.effective_capacity(aid) for aid in instance.arc_ids()) + 1
+    a = b = bound = nominal = None
+    theta = start
+    while True:
+        value, right, left, flow = _probe(instance, theta)
+        if theta == top:
+            nominal = flow
+        if value in (target, bound) or right < 0 and (left >= 0 or theta == 0):
+            return theta, value, flow, nominal
+        if right >= 0:
+            if target is not None and theta == start:
+                return theta, value, flow, nominal
+            a, fa, ra = theta, value, right
+        else:
+            b, fb, lb = theta, value, left
+        if a is None or b is None:
+            probe = Fraction(0) if a is None else top
+        else:
+            probe = (fb - fa + a * ra - b * lb) / (ra - lb)
+            bound = fa + (probe - a) * ra
+            if target is not None and bound < target:
+                return theta, value, flow, nominal
+        theta = probe
+
+
+def solve_lo(instance: Instance) -> LoSolution:
+    """Maximize flow value minus gamma * theta over (flow, theta), taking
+    the largest theta among optima, exactly, by the tangent search from 0
+    (_search).  The witness flow is the max flow of its last probe, the one
+    at theta*."""
+    theta, value, flow, nominal = _search(instance)
     return LoSolution(
-        value=flow.value - instance.gamma * theta,
+        value=value,
         theta_star=theta,
         flow=flow,
         flow_value=flow.value,
+        _nominal=nominal,
     )
 
 
@@ -251,31 +293,39 @@ def approx_report(
     conditional identities (premises checked with a 1e-9 margin).  Ratios
     with a vanishing denominator report NA, never infinity.  Solvers whose
     limits are exceeded are skipped and flagged (partial result); the RNI
-    solutions are kept on the report for certification."""
-    nominal = float(max_flow(instance)[0])
+    solutions are kept on the report for certification.  Where Z_LO = Z_NI
+    both are the closed game's (the NI removal, with the LO witness flow or
+    its decomposition) and no RNI solver runs; otherwise the RNI solvers'
+    row generation runs without their closure test, already decided."""
     lo = solve_lo(instance)
+    # the search's probe past the largest capacity is the nominal max flow
+    nominal = float((lo._nominal or max_flow(instance)[1]).value)
     s_prime, s_dblprime = lo_cuts(instance, lo)
     a = len(s_prime.tight_at_or_below)
     b = len(s_dblprime.strictly_below)
     # the below-cut's arcs with u_e < theta*: the other a are capped at theta*
     big_l = float(s_prime.capacity_at_theta - a * lo.theta_star)
     skipped = []
-    z_ni = rni = rni_path = None
+    ni = rni = rni_path = None
     try:
-        z_ni = float(solve_ni(instance, scenario_limit=scenario_limit).value)
+        ni = solve_ni(instance, scenario_limit=scenario_limit)
     except ScenarioLimitExceeded:
         skipped.append("ni")
-    try:
-        rni = solve_rni(instance, scenario_limit=scenario_limit)
-    except ScenarioLimitExceeded:
-        skipped.append("rni")
-    try:
-        rni_path = solve_rni_path(
-            instance, path_limit=path_limit, scenario_limit=scenario_limit
-        )
-    except (ScenarioLimitExceeded, PathLimitExceeded):
-        skipped.append("rni_path")
+    if ni is not None and ni.value == lo.value:
+        # Z_LO = Z_NI closes the game at the NI removal and the LO flow
+        rni = _closed(ni.value, ni.witness_scenario, lo.flow)
+        rni_path = _closed(ni.value, ni.witness_scenario, decompose(instance, lo.flow))
+    else:
+        try:
+            rni = _rni_rows(instance, scenario_limit)
+        except ScenarioLimitExceeded:
+            skipped.append("rni")
+        try:
+            rni_path = _rni_path_rows(instance, path_limit, scenario_limit)
+        except (ScenarioLimitExceeded, PathLimitExceeded):
+            skipped.append("rni_path")
 
+    z_ni = None if ni is None else float(ni.value)
     z_rni = None if rni is None else rni.value
     z_rni_path = None if rni_path is None else rni_path.value
     z_lo = float(lo.value)

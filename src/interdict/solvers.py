@@ -3,23 +3,27 @@
 solve_ni gives the deterministic value (best pure removal); solve_rni and
 solve_rni_path give the randomized values in the arc- and path-based
 payoff models together with an optimal mixed removal strategy; the gamma=1
-case has a dedicated polynomial LP.  Every mixed strategy is extracted
-from LP duals and can be re-validated with an independent two-sided
-certificate (certify): the flow witness is checked against the
-interdictor's exact best response in its payoff model (game.worst_removal,
-the same oracle solve_ni applies to the capacities, or
-game.worst_path_removals) and the strategy against the flow player's.
+case has a dedicated polynomial LP.  Every solution can be re-validated
+with an independent two-sided certificate (certify): the flow witness is
+checked against the interdictor's exact best response in its payoff model
+(game.worst_removal, the same oracle solve_ni applies to the capacities,
+or game.worst_path_removals) and the strategy against the flow player's.
 
-Both RNI values and the arc model's flow-player best response come from
-one constraint-generation loop (_row_generation).  Each is a maximum over
-the flow player's variables of payoffs that are least over gamma-arc
-removals: an LP with one row per removal (in the arc model, by
-max-flow/min-cut, the committed flow over a cut minus the removed arcs),
-of which only the few binding at the optimum are needed.  The loop grows a
-small master LP with the rows of the responses its current point violates,
-taken from game's best response for the model; the solvers read the
-strategy off the row duals.  How those responses are found, and the one
-limit on it, is game's alone.
+The paper's value chain Z_LO <= Z_RNI^Path <= Z_RNI <= Z_NI closes the
+game wherever the LO model reaches Z_NI: then all four values are equal,
+and the pure NI removal is optimal in both payoff models.  Both RNI
+solvers test this first (_closing_flow, lomodel's tangent search with
+Z_NI as its target) and return Z_NI, that removal and the LO probe's flow
+without an LP.  Otherwise both RNI values and the arc model's flow-player
+best response come from one constraint-generation loop (_row_generation).
+Each is a maximum over the flow player's variables of payoffs that are
+least over gamma-arc removals: an LP with one row per removal (in the arc
+model, by max-flow/min-cut, the committed flow over a cut minus the
+removed arcs), of which only the few binding at the optimum are needed.
+The loop grows a small master LP with the rows of the responses its
+current point violates, taken from game's best response for the model;
+the solvers read the strategy off the row duals.  How those responses are
+found, and the one limit on it, is game's alone.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .game import (
     DEFAULT_SCENARIO_LIMIT,
     MixedStrategy,
     Scenario,
+    ScenarioLimitExceeded,
     adaptive_value,
     _scenario_responses,
     payoff_arc,
@@ -44,7 +49,10 @@ from .graph import (
     ArcFlow,
     Instance,
     PathFlow,
+    decompose,
     enumerate_paths,
+    resolve_capacities,
+    _scaled,
     validate_flow,
 )
 from .linopt import LpProblem, solve_lp
@@ -199,24 +207,72 @@ def _kept_row(z, scenario, kept):
     return scenario, z, [aid - 1 for aid in kept]
 
 
+def _closing_flow(instance, z_ni, scenario) -> Optional[ArcFlow]:
+    """A max flow x under the capacities capped at some theta with
+    val(x) - gamma theta = z_ni, or None when the LO model stays below
+    z_ni: lomodel's tangent search with z_ni as its target, started at the
+    least capacity among the scenario's arcs (the NI minimizer's).
+
+    Every probe value is at most Z_LO <= Z_RNI^Path <= Z_RNI <= Z_NI, so
+    reaching z_ni closes the game: a gamma-removal takes at most gamma
+    theta of x, or of decompose(x), so both hold z_ni against any removal,
+    and the flow player's best response to the pure scenario is z_ni."""
+    from .lomodel import _search  # lomodel's report imports this module
+
+    start = min(instance.effective_capacity(aid) for aid in scenario.removed)
+    _, value, flow, _ = _search(instance, target=z_ni, start=start)
+    return flow if value == z_ni else None
+
+
+def _closed(value, scenario, witness) -> RniSolution:
+    """The saddle point of a closed game: Z_NI, its pure removal, and a
+    flow that holds Z_NI against every removal."""
+    return RniSolution(
+        value=float(value),
+        strategy=MixedStrategy.degenerate(scenario),
+        flow_witness=witness,
+    )
+
+
 def solve_rni(
     instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> RniSolution:
     """Randomized value in the arc-based payoff model, with an optimal
     mixed removal strategy and a committed-flow witness.
 
-    The master is the arc flow x plus z; each response's row bounds z by
-    x over the arcs game.removal_candidates says it keeps: a cut minus
-    the removed arcs.
+    The responses to the capacities give Z_NI and a pure minimizer S*.
+    When the LO model reaches Z_NI (_closing_flow) that is the value, S*
+    the strategy and the LO probe's flow the witness, with no LP.
+    Otherwise the row generation decides, starting from those responses
+    (_rni_rows).
     """
+    caps = _arc_weights(instance, None)
+    first = list(removal_candidates(instance, caps, scenario_limit))
+    z_ni, response = min(first, key=lambda candidate: candidate[0])
+    scenario = response()[0]
+    flow = _closing_flow(instance, z_ni, scenario)
+    if flow is not None:
+        return _closed(z_ni, scenario, flow)
+    return _rni_rows(instance, scenario_limit, first)
+
+
+def _rni_rows(instance, scenario_limit, first=None) -> RniSolution:
+    """Z_RNI by row generation: the master is the arc flow x plus z; each
+    response's row bounds z by x over the arcs game.removal_candidates
+    says it keeps, a cut minus the removed arcs.  first, when given, is
+    the responses to the capacities, the first round's."""
     m = instance.arc_count
 
     def candidates(x, below):
         below = below(m)
         if x is not None:
             below = Fraction(below)  # finite here; a Fraction compares faster
-        weights = _arc_weights(instance, x)
-        for payoff, response in removal_candidates(instance, weights, scenario_limit):
+        if x is None and first is not None:
+            scored = first
+        else:
+            weights = _arc_weights(instance, x)
+            scored = removal_candidates(instance, weights, scenario_limit)
+        for payoff, response in scored:
             if payoff < below:
                 yield payoff, lambda response=response: _kept_row(m, *response())
 
@@ -235,11 +291,28 @@ def solve_rni_path(
     path_limit: int = DEFAULT_PATH_LIMIT,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> RniSolution:
-    """Randomized value in the path-based payoff model, by the same row
-    generation as solve_rni: the master is one column per s-t path under
-    the arc capacities plus z, and each response's row bounds z by the
-    paths that survive it.  The responses are game.worst_path_removals on
-    the master's path flow, in floats."""
+    """Randomized value in the path-based payoff model.  When the LO model
+    reaches Z_NI (solve_ni's enumeration, then _closing_flow), that is the
+    value, with the pure NI removal and the decomposed LO probe flow;
+    when the NI enumeration is over the scenario limit, or the LO model
+    stays below, the row generation decides (_rni_path_rows)."""
+    caps = _arc_weights(instance, None)
+    try:
+        z_ni, scenario = worst_removal(instance, caps, scenario_limit)
+    except ScenarioLimitExceeded:  # the path search may still fit the limit
+        flow = None
+    else:
+        flow = _closing_flow(instance, z_ni, scenario)
+    if flow is not None:
+        return _closed(z_ni, scenario, decompose(instance, flow))
+    return _rni_path_rows(instance, path_limit, scenario_limit)
+
+
+def _rni_path_rows(instance, path_limit, scenario_limit) -> RniSolution:
+    """Z_RNI^Path by the same row generation as Z_RNI: the master is one
+    column per s-t path under the arc capacities plus z, and each
+    response's row bounds z by the paths that survive it.  The responses
+    are game.worst_path_removals on the master's path flow, in floats."""
     paths = enumerate_paths(instance, limit=path_limit)
     npaths = len(paths)
     master = LpProblem(npaths + 1, sense="max")
@@ -351,13 +424,29 @@ def gamma1_strategy(sol: Gamma1Solution) -> MixedStrategy:
     )
 
 
+def _pure_response(instance, alpha):
+    """Against a strategy with one scenario S of positive probability p:
+    p and the max flow of the graph without S, which is the flow player's
+    best response in either payoff model.  None for any other strategy."""
+    support = [(scenario, p) for scenario, p in alpha.support if p > 0]
+    if len(support) != 1:
+        return None
+    [(scenario, p)] = support
+    value, flow = payoff_arc(instance, scenario, _arc_weights(instance, None))
+    return p * float(value), flow
+
+
 def best_response_arc(
     instance: Instance, alpha: MixedStrategy
 ) -> tuple[float, ArcFlow]:
     """Exact value of the flow player's best committed flow against the
-    mixed strategy: solve_rni's master with one z_k per support scenario
-    S_k, weighted by its probability, each bounded by x over the min cut
-    of one max flow within x once S_k is removed, minus S_k."""
+    mixed strategy.  A pure strategy's is one max flow (_pure_response).
+    Otherwise solve_rni's master with one z_k per support scenario S_k,
+    weighted by its probability, each bounded by x over the min cut of one
+    max flow within x once S_k is removed, minus S_k."""
+    pure = _pure_response(instance, alpha)
+    if pure is not None:
+        return pure
     m = instance.arc_count
     # p = 0 adds nothing to the value, and a p < 0 would leave z_k unbounded
     support = [(scenario, p) for scenario, p in alpha.support if p > 0]
@@ -381,8 +470,14 @@ def best_response_path(
     alpha: MixedStrategy,
     path_limit: int = DEFAULT_PATH_LIMIT,
 ) -> tuple[float, PathFlow]:
-    """Best committed path flow against the mixed strategy: maximize
-    survival-weighted path flow under the arc capacities."""
+    """Best committed path flow against the mixed strategy.  A pure
+    strategy's is the decomposed max flow without its scenario
+    (_pure_response); otherwise one LP maximizes survival-weighted path
+    flow under the arc capacities."""
+    pure = _pure_response(instance, alpha)
+    if pure is not None:
+        value, flow = pure
+        return value, decompose(instance, flow)
     paths = enumerate_paths(instance, limit=path_limit)
     lp = LpProblem(max(1, len(paths)), sense="max")
     weights = []
@@ -399,6 +494,37 @@ def best_response_path(
     return sol.objective, _path_flow_from_lp(paths, sol.x)
 
 
+def _removal_bound(instance, witness) -> Fraction:
+    """A lower bound on the witness's worst payoff in its model, from its
+    amounts alone: the flow it surely routes less its gamma largest arc
+    amounts, since a removal takes at most the flow through its arcs.
+
+    An ArcFlow surely routes, within its positive amounts, their net flow
+    into the sink less what the internal nodes that send more than they
+    receive could have added (never its value field).  A PathFlow routes
+    the sum of its amounts and is charged its paths' positive loads.  The
+    amounts are scaled once to integers over their common denominator."""
+    if isinstance(witness, ArcFlow):
+        scaled, d = _scaled(resolve_capacities(instance, witness.values))
+        amounts = [max(x, 0) for x in scaled]
+        tails, heads = instance._ends
+        net = [0] * (instance.node_count + 1)  # inflow minus outflow
+        for aid in instance.arc_ids():
+            net[tails[aid]] -= amounts[aid]
+            net[heads[aid]] += amounts[aid]
+        internal = instance.internal_nodes()
+        routed = net[instance.sink] + sum(min(net[v], 0) for v in internal)
+    else:
+        scaled, d = _scaled([amount for _, amount in witness.entries])
+        amounts = [0] * (instance.arc_count + 1)
+        for (path, _), x in zip(witness.entries, scaled):
+            for aid in path:
+                amounts[aid] += max(x, 0)
+        routed = sum(scaled)
+    largest = sorted(amounts, reverse=True)[: instance.gamma]
+    return Fraction(routed - sum(largest), d)
+
+
 def certify(
     instance: Instance,
     solution: RniSolution,
@@ -413,35 +539,50 @@ def certify(
     = (exact best response against the strategy) - value.  PASS iff the
     witness is a feasible flow (validate_flow within the tolerance) and
     both gaps are within tolerance * (1 + value) in absolute value; FAIL is
-    data, not an error.  A witness of the other model's type, or a support
-    scenario that is not gamma distinct arc ids of the instance, raises
-    ValueError.
+    data, not an error.  A witness of the other model's type, a witness arc
+    id outside 1..m, or a support scenario that is not gamma distinct arc
+    ids of the instance, raises ValueError.
+
+    Which check settles each side: for a feasible witness whose
+    _removal_bound is within the tolerance of the value, that bound stands
+    in for the worst payoff (it is a lower bound, and the strategy side
+    bounds the worst payoff from above), so no removal is enumerated;
+    otherwise, and always for a witness that fails validate_flow, the
+    exact best response (game.adaptive_value or game.worst_path_removals)
+    does.  A pure strategy's best response is one max flow, a mixed one's
+    an LP (best_response_arc, best_response_path).  A FAIL therefore
+    always comes from the exact checks.
     """
     witness_type = {"arc": ArcFlow, "path": PathFlow}.get(kind)
     if witness_type is None:
         raise ValueError("kind must be 'arc' or 'path'")
-    if not isinstance(solution.flow_witness, witness_type):
+    witness = solution.flow_witness
+    if not isinstance(witness, witness_type):
         raise ValueError(f"kind {kind!r} needs a {witness_type.__name__} witness")
     m = instance.arc_count
     for scenario, _ in solution.strategy.support:
         removed = scenario.removed  # sorted and distinct
         if len(removed) != instance.gamma or not 1 <= removed[0] <= removed[-1] <= m:
             raise ValueError(f"scenario {removed}: need {instance.gamma} ids in 1..{m}")
+    feasible = validate_flow(instance, witness, tolerance).ok
     value = float(solution.value)
+    tol = tolerance * (1.0 + abs(value))
+    worst = _removal_bound(instance, witness) if feasible else None
+    if worst is None or abs(value - float(worst)) > tol:
+        if kind == "arc":
+            worst = adaptive_value(instance, witness, scenario_limit)
+        else:
+            [(worst, _)] = worst_path_removals(
+                instance, witness.entries, scenario_limit=scenario_limit
+            )
     if kind == "arc":
-        worst = adaptive_value(instance, solution.flow_witness, scenario_limit)
         adversary, _ = best_response_arc(instance, solution.strategy)
     else:
-        [(worst, _)] = worst_path_removals(
-            instance, solution.flow_witness.entries, scenario_limit=scenario_limit
-        )
         adversary, _ = best_response_path(
             instance, solution.strategy, path_limit=path_limit
         )
     flow_gap = value - float(worst)
     adversary_gap = adversary - value
-    tol = tolerance * (1.0 + abs(value))
-    feasible = validate_flow(instance, solution.flow_witness, tolerance).ok
     passed = feasible and abs(flow_gap) <= tol and abs(adversary_gap) <= tol
     return CertificateReport(
         flow_gap=flow_gap,

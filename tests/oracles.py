@@ -11,6 +11,7 @@ Fraction arithmetic, against which the library's integer kernel is
 checked.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,8 +130,9 @@ def adaptive_by_cuts(instance, flow):
 
 
 def worst_path_payoff_by_scenarios(instance, flow):
-    """Least payoff_path of a path flow over every scenario."""
-    return min(payoff_path(instance, s, flow) for s in scenarios(instance))
+    """Least payoff_path of a path flow over every scenario, however many."""
+    every = scenarios(instance, limit=math.inf)
+    return min(payoff_path(instance, s, flow) for s in every)
 
 
 def theta_sweep(instance):

@@ -5,10 +5,12 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from interdict.game import DEFAULT_SCENARIO_LIMIT
 from interdict.graph import (
     Arc,
     ArcFlow,
     Instance,
+    PathFlow,
     PathLimitExceeded,
     decompose,
     enumerate_paths,
@@ -19,7 +21,7 @@ from interdict.graph import (
 )
 from interdict.instances import fig1, fig2a, fig2b, random_instance
 from interdict.lomodel import _cut_at, solve_lo
-from interdict.solvers import solve_rni
+from interdict.solvers import _rni_rows
 from oracles import fraction_min_cut
 
 
@@ -263,6 +265,28 @@ class TestValidateFlow:
         assert report.violations[0].magnitude == pytest.approx(0.5)
 
 
+    def test_value_other_than_the_sink_inflow(self):
+        inst = fig2a(6, 2)
+        flow = replace(max_flow(inst)[1], value=Fraction(1000))
+        report = validate_flow(inst, flow)
+        assert [v.kind for v in report.violations] == ["value"]
+        assert report.violations[0].magnitude == pytest.approx(1000 - 6)
+
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            ArcFlow({99: Fraction(5)}, Fraction(0)),
+            ArcFlow({0: Fraction(1)}, Fraction(0)),
+            PathFlow((((1, 99), Fraction(1)),)),
+            PathFlow((((0, 7), Fraction(1)),)),  # id 0 would read arc m
+        ],
+        ids=["arc-99", "arc-0", "path-99", "path-0"],
+    )
+    def test_arc_id_outside_the_instance_raises(self, flow):
+        with pytest.raises(ValueError, match="arc ids"):
+            validate_flow(fig2a(6, 2), flow)
+
+
 class TestCutHelpers:
     def test_iter_cuts_count(self):
         inst = random_instance(nodes=6, arcs=9, cap_max=4, gamma=1, seed=1)
@@ -286,7 +310,9 @@ def reference_case(kind, seed):
             fig2a(5, 2), fig2a(7, 2), fig1(7, 2), fig1(9, 3), fig2b(7, 3),
             random_instance(8, 14, 7, 3, 417),
         )[seed]
-        caps = dict(solve_rni(inst).flow_witness.values)
+        # the row-generation LP's point: solve_rni skips the LP on the last
+        # instance, whose game closes at Z_LO = Z_NI
+        caps = dict(_rni_rows(inst, DEFAULT_SCENARIO_LIMIT).flow_witness.values)
         assert max(c.denominator for c in caps.values()) > 2**40
         return inst, caps, None
     if kind == "big_m":

@@ -1,16 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from interdict import lomodel
 from interdict.graph import Arc, Instance, max_flow
 from interdict.instances import fig1, fig2a, fig2b, random_instance
 from interdict.lomodel import (
+    InvariantViolation,
     approx_report,
     lo_cuts,
     lo_value_at,
     path_model_factor,
     solve_lo,
 )
+from interdict.solvers import certify
 from oracles import theta_sweep
 
 
@@ -46,6 +50,10 @@ class TestLoValueAt:
 
     def test_fig2a_theta_two(self):
         assert lo_value_at(fig2a(6, 2), 2) == 2  # min(6, 6) - 4
+
+    def test_negative_theta_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lo_value_at(fig2a(6, 2), Fraction(-1, 2))
 
     def test_concavity_on_grid(self):
         inst = random_instance(nodes=6, arcs=10, cap_max=7, gamma=2, seed=9)
@@ -132,6 +140,26 @@ class TestLoCuts:
         assert s_prime.capacity_at_theta == sol.flow_value
         assert s_dbl.capacity_at_theta == sol.flow_value
 
+    @pytest.mark.parametrize(
+        "theta, flow_value, message",
+        [
+            # theta* = 2 with Val(x*) = 6: a stale value at theta = 1 (3)
+            (1, 6, "not minimal"),
+            # past theta*: the below-cut {s} has no arc at or above 3
+            (3, 6, "below-cut has only 0 arcs"),
+            # before theta*: the 3 unbounded arcs lie strictly above 1
+            (1, 3, "above-cut has 3 arcs"),
+        ],
+        ids=["stale-flow-value", "theta-too-large", "theta-too-small"],
+    )
+    def test_wrong_theta_star_raises(self, theta, flow_value, message):
+        inst = fig2a(6, 2)
+        wrong = replace(
+            solve_lo(inst), theta_star=Fraction(theta), flow_value=Fraction(flow_value)
+        )
+        with pytest.raises(InvariantViolation, match=message):
+            lo_cuts(inst, wrong)
+
     @pytest.mark.parametrize("seed", range(15))
     @pytest.mark.parametrize("gamma, divisors", GAMMAS)
     def test_conditions_on_random_instances(self, seed, gamma, divisors):
@@ -200,6 +228,40 @@ class TestApproxReport:
         assert report.z_ni is not None and report.z_lo is not None
         rows = {bc.name: bc for bc in report.bounds}
         assert rows["Z_RNI^Path/Z_LO"].verdict == "NA"
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            fig1(12, 2),
+            fig2b(12, 2),
+            random_instance(9, 18, 10, 2, 0),
+            # theta* = 0: the search stops before its probe past the capacities
+            Instance(3, 1, 3, (Arc(1, 2, Fraction(2)), Arc(2, 3, Fraction(2))), 2),
+        ],
+        ids=["fig1", "fig2b", "closed", "theta0"],
+    )
+    def test_nominal_max_flow_comes_from_the_search(self, inst, monkeypatch):
+        nominal = float(max_flow(inst)[0])
+        calls = []
+        monkeypatch.setattr(
+            lomodel, "max_flow", lambda *args: calls.append(args) or max_flow(*args)
+        )
+        report = approx_report(inst)
+        assert report.nominal_max_flow == nominal
+        assert len(calls) == (solve_lo(inst).theta_star == 0)
+
+    def test_closed_game_needs_no_second_solve(self, monkeypatch):
+        # Z_LO = Z_NI = 2: the report reads both RNI values off it
+        inst = random_instance(9, 18, 10, 2, 0)
+        for name in ("_rni_rows", "_rni_path_rows"):
+            monkeypatch.setattr(lomodel, name, None)  # a call would raise
+        report = approx_report(inst)
+        assert report.z_lo == report.z_ni == report.z_rni == report.z_rni_path == 2
+        assert report.rni.strategy == report.rni_path.strategy
+        assert len(report.rni.strategy.support) == 1
+        assert certify(inst, report.rni, kind="arc").passed
+        assert certify(inst, report.rni_path, kind="path").passed
+        assert all(bc.verdict != "FAIL" for bc in report.bounds)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_no_fail_rows_on_random_instances(self, seed):

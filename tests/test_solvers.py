@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from interdict import solvers
-from interdict.graph import Arc, ArcFlow, Instance, PathFlow, max_flow, validate_flow
+from interdict.graph import (
+    Arc,
+    ArcFlow,
+    Instance,
+    PathFlow,
+    enumerate_paths,
+    max_flow,
+    validate_flow,
+)
 from interdict.game import (
     MixedStrategy,
     Scenario,
@@ -12,9 +20,11 @@ from interdict.game import (
     adaptive_value,
     expected_payoff,
     scenarios,
+    worst_removal,
 )
 from interdict.instances import fig1, fig2a, fig2b, random_instance
 from interdict.linopt import solve_lp
+from interdict.lomodel import solve_lo
 from interdict.solvers import (
     GammaMismatch,
     best_response_arc,
@@ -32,9 +42,12 @@ from oracles import (
     adaptive_by_cuts,
     adaptive_by_scenarios,
     best_response_by_block_lp,
+    fraction_min_cut,
     rni_by_scenario_lp,
     rni_path_by_scenario_lp,
+    worst_path_payoff_by_scenarios,
 )
+from test_acceptance import property_corpus
 
 
 def single_arc(cap=5):
@@ -69,6 +82,24 @@ def chain(caps, gamma=1):
     return Instance(
         n, 1, n, tuple(Arc(i, i + 1, Fraction(c)) for i, c in enumerate(caps, 1)), gamma
     )
+
+
+def fat_chain():
+    """14 links of 4 parallel arcs, gamma = 3: C(56, 3) = 27,720 scenarios
+    and 2^13 = 8,192 cuts, so only the cuts fit the limit."""
+    rng = random.Random(3)
+    links = [[Fraction(rng.randint(1, 9)) for _ in range(4)] for _ in range(14)]
+    arcs = tuple(Arc(v, v + 1, c) for v, caps in enumerate(links, 1) for c in caps)
+    return Instance(15, 1, 15, arcs, 3), links
+
+
+def parallel_units(count=3):
+    """count parallel unit arcs s -> t, gamma = 1: Z_NI = Z_LO = count - 1."""
+    return Instance(2, 1, 2, tuple(Arc(1, 2, Fraction(1)) for _ in range(count)), 1)
+
+
+def capacities(inst):
+    return {aid: inst.effective_capacity(aid) for aid in inst.arc_ids()}
 
 
 class TestSolveNi:
@@ -118,12 +149,7 @@ class TestSolveNi:
             solve_ni(inst, scenario_limit=14)
 
     def test_fat_chain_enumerates_cuts(self):
-        # 14 links of 4 parallel arcs, gamma = 3: C(56, 3) = 27,720 scenarios
-        # and 2^13 = 8,192 cuts, so only the cuts fit the limit
-        rng = random.Random(3)
-        links = [[Fraction(rng.randint(1, 9)) for _ in range(4)] for _ in range(14)]
-        arcs = tuple(Arc(v, v + 1, c) for v, caps in enumerate(links, 1) for c in caps)
-        inst = Instance(15, 1, 15, arcs, 3)
+        inst, links = fat_chain()
         least_min = min(min(caps) for caps in links)
         assert solve_ni(inst).value == least_min
 
@@ -412,6 +438,60 @@ class TestCertify:
         with pytest.raises(ValueError, match="witness"):
             certify(inst, solve(inst), kind=kind)
 
+    def test_unknown_kind_raises(self):
+        inst = fig2a(6, 2)
+        with pytest.raises(ValueError, match="kind"):
+            certify(inst, solve_rni(inst), kind="both")
+
+    def test_path_witness_through_an_unknown_arc_raises(self):
+        strategy = MixedStrategy.degenerate(Scenario((7, 8)))
+        for path in ((1, 99), (0, 7)):
+            witness = PathFlow(((path, Fraction(1)),))
+            solution = solvers.RniSolution(0.0, strategy, witness)
+            with pytest.raises(ValueError, match="arc ids"):
+                certify(fig2a(6, 2), solution, kind="path")
+
+    def test_planted_over_capacity_witness_fails(self):
+        # Z_NI = Z_LO = 2 against the pure removal of arc 3; 2 on each of
+        # arcs 1 and 2 routes 4 less a largest amount of 2, so only the
+        # feasibility check stands between it and a PASS
+        inst = parallel_units()
+        strategy = MixedStrategy.degenerate(Scenario((3,)))
+        witnesses = {
+            "arc": ArcFlow.from_values(inst, {1: 2, 2: 2}),
+            "path": PathFlow((((1,), Fraction(2)), ((2,), Fraction(2)))),
+        }
+        for kind, witness in witnesses.items():
+            report = certify(inst, solvers.RniSolution(2.0, strategy, witness), kind)
+            assert report.flow_gap == report.adversary_gap == 0
+            assert not report.passed
+
+    def test_inflated_witness_value_fails(self):
+        # one unit on arc 1 that claims 3: trusting the value field, 3 less
+        # the largest amount would match the value 2
+        inst = parallel_units()
+        witness = ArcFlow({1: Fraction(1)}, Fraction(3))
+        strategy = MixedStrategy.degenerate(Scenario((3,)))
+        report = certify(inst, solvers.RniSolution(2.0, strategy, witness), "arc")
+        assert [v.kind for v in validate_flow(inst, witness).violations] == ["value"]
+        assert report.flow_gap == 2  # the exact check: removing arc 1 leaves 0
+        assert not report.passed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_removal_bound_never_exceeds_the_worst_payoff(self, seed):
+        # arbitrary amounts, negative ones and unconserved nodes included
+        rng = random.Random(seed)
+        inst = random_instance(6, 10, 5, 1 + seed % 3, 600 + seed)
+        values = {
+            a: Fraction(rng.randint(-1, 6), rng.randint(1, 3)) for a in inst.arc_ids()
+        }
+        arc = ArcFlow.from_values(inst, values)
+        assert solvers._removal_bound(inst, arc) <= adaptive_by_scenarios(inst, arc)
+        paths = rng.sample(enumerate_paths(inst, 1000), 3)
+        path = PathFlow(tuple((p, Fraction(rng.randint(-1, 4), 2)) for p in paths))
+        bound = solvers._removal_bound(inst, path)
+        assert bound <= worst_path_payoff_by_scenarios(inst, path)
+
     def test_degenerate_gamma_all_arcs(self):
         inst = chain([2, 3], gamma=2)
         for solve, kind in ((solve_rni, "arc"), (solve_rni_path, "path")):
@@ -442,3 +522,102 @@ class TestOrderingProperties:
         assert float(adaptive_value(inst, sol.flow_witness)) == pytest.approx(
             sol.value, abs=1e-6
         )
+
+
+LADDER = [(9, 18, 10, gamma, s) for gamma in (2, 3) for s in range(4)]
+LADDER += [(12, 24, 10, 2, 5)]
+FAMILIES = [
+    (fig1, 12, 2),
+    (fig2a, 6, 2),
+    (fig2a, 20, 3),
+    (fig2a, 100, 3),
+    (fig2b, 12, 2),
+    (fig2b, 24, 2),
+    (fig2b, 48, 2),
+]
+CLOSURE_CASES = (
+    [pytest.param(lambda i=i: property_corpus()[i], id=f"dag{i}") for i in range(200)]
+    + [
+        pytest.param(lambda spec=spec: random_instance(*spec), id=f"rung{spec}")
+        for spec in LADDER
+    ]
+    + [
+        pytest.param(lambda f=f, k=k, g=g: f(k, g), id=f"{f.__name__}({k},{g})")
+        for f, k, g in FAMILIES
+    ]
+    + [pytest.param(lambda: fat_chain()[0], id="fat_chain")]
+)
+
+
+class TestClosedGame:
+    """Where the LO model reaches Z_NI, Z_LO <= Z_RNI^Path <= Z_RNI <= Z_NI
+    are all equal and the pure NI removal is optimal in both models."""
+
+    @pytest.mark.parametrize("build", CLOSURE_CASES)
+    def test_closes_exactly_when_lo_reaches_ni(self, build):
+        inst = build()
+        caps = capacities(inst)
+        z_ni = adaptive_by_cuts(inst, ArcFlow.from_values(inst, caps))
+        _, scenario = worst_removal(inst, caps)
+        closing = solvers._closing_flow(inst, z_ni, scenario)
+        assert (closing is not None) == (solve_lo(inst).value == z_ni)
+        if closing is None:
+            return
+        arc, path = solve_rni(inst), solve_rni_path(inst)
+        for sol, kind in ((arc, "arc"), (path, "path")):
+            assert sol.value == float(z_ni)
+            assert sol.strategy == MixedStrategy.degenerate(scenario)
+            assert validate_flow(inst, sol.flow_witness).ok
+            assert certify(inst, sol, kind=kind).passed
+        # each witness holds Z_NI against every removal, and Z_NI is the
+        # flow player's best response to the pure removal
+        assert adaptive_by_cuts(inst, arc.flow_witness) == z_ni
+        assert worst_path_payoff_by_scenarios(inst, path.flow_witness) == z_ni
+        kept = {aid: c for aid, c in caps.items() if aid not in scenario.removed_set}
+        assert fraction_min_cut(inst, kept).value == z_ni
+
+    @pytest.mark.parametrize(
+        "inst, z_rni, z_rni_path",
+        [(fig1(12, 2), 10, 8), (fig2b(12, 2), 11, 6)],
+        ids=["fig1", "fig2b"],
+    )
+    def test_open_games_take_the_loop(self, inst, z_rni, z_rni_path, monkeypatch):
+        loops = []
+        row_generation = solvers._row_generation
+        monkeypatch.setattr(
+            solvers,
+            "_row_generation",
+            lambda *args: loops.append(args) or row_generation(*args),
+        )
+        arc, path = solve_rni(inst), solve_rni_path(inst)
+        assert len(loops) == 2
+        assert solve_lo(inst).value < solve_ni(inst).value
+        assert arc.value == pytest.approx(z_rni, abs=1e-6)
+        assert path.value == pytest.approx(z_rni_path, abs=1e-6)
+
+    def test_path_model_skips_the_closure_where_ni_is_refused(self):
+        # a closed rung: 153 scenarios and 128 cuts, while the path model's
+        # search fits a limit of 25 removals
+        inst = random_instance(9, 18, 10, 2, 0)
+        with pytest.raises(ScenarioLimitExceeded):
+            solve_ni(inst, scenario_limit=100)
+        sol = solve_rni_path(inst, scenario_limit=100)
+        assert sol.value == pytest.approx(float(solve_ni(inst).value), abs=1e-6)
+        assert certify(inst, sol, kind="path", scenario_limit=100).passed
+
+    def test_pure_best_responses_need_no_lp(self, monkeypatch):
+        inst = fig2a(6, 2)
+        monkeypatch.setattr(solvers, "solve_lp", None)  # any LP would raise
+        alpha = MixedStrategy.degenerate(Scenario((1, 7)))
+        value, flow = best_response_arc(inst, alpha)  # 5 unit arcs are left
+        assert value == 5.0 and flow.value == 5
+        value, paths = best_response_path(inst, alpha)
+        assert value == 5.0 and paths.value == 5
+        assert all({1, 7}.isdisjoint(path) for path, _ in paths.entries)
+
+    def test_certify_settles_a_closed_pass_without_enumerating(self):
+        inst, _ = fat_chain()  # 27,720 scenarios and 8,192 cuts
+        arc, path = solve_rni(inst), solve_rni_path(inst)
+        # the polynomial checks pass where no enumeration is allowed
+        assert certify(inst, arc, kind="arc", scenario_limit=1).passed
+        assert certify(inst, path, kind="path", scenario_limit=1).passed
