@@ -46,9 +46,9 @@ from .solvers import (
     DEFAULT_PATH_LIMIT,
     RniSolution,
     _closed,
+    _ni,
     _rni_path_rows,
     _rni_rows,
-    solve_ni,
 )
 
 
@@ -296,7 +296,8 @@ def approx_report(
     solutions are kept on the report for certification.  Where Z_LO = Z_NI
     both are the closed game's (the NI removal, with the LO witness flow or
     its decomposition) and no RNI solver runs; otherwise the RNI solvers'
-    row generation runs without their closure test, already decided."""
+    row generation runs without their closure test, already decided,
+    the arc model's from the responses to the capacities that gave Z_NI."""
     lo = solve_lo(instance)
     # the search's probe past the largest capacity is the nominal max flow
     nominal = float((lo._nominal or max_flow(instance)[1]).value)
@@ -306,9 +307,9 @@ def approx_report(
     # the below-cut's arcs with u_e < theta*: the other a are capped at theta*
     big_l = float(s_prime.capacity_at_theta - a * lo.theta_star)
     skipped = []
-    ni = rni = rni_path = None
+    ni = rni = rni_path = first = None
     try:
-        ni = solve_ni(instance, scenario_limit=scenario_limit)
+        ni, first = _ni(instance, scenario_limit)
     except ScenarioLimitExceeded:
         skipped.append("ni")
     if ni is not None and ni.value == lo.value:
@@ -317,7 +318,7 @@ def approx_report(
         rni_path = _closed(ni.value, ni.witness_scenario, decompose(instance, lo.flow))
     else:
         try:
-            rni = _rni_rows(instance, scenario_limit)
+            rni = _rni_rows(instance, scenario_limit, first)
         except ScenarioLimitExceeded:
             skipped.append("rni")
         try:

@@ -20,10 +20,12 @@ Each is a maximum over the flow player's variables of payoffs that are
 least over gamma-arc removals: an LP with one row per removal (in the arc
 model, by max-flow/min-cut, the committed flow over a cut minus the
 removed arcs), of which only the few binding at the optimum are needed.
-The loop grows a small master LP with the rows of the responses its
-current point violates, taken from game's best response for the model;
-the solvers read the strategy off the row duals.  How those responses are
-found, and the one limit on it, is game's alone.
+The loop grows one small master LP with the rows of the responses its
+current point violates, taken from game's best response for the model,
+at most gamma + 1 of them per round, and re-optimizes it from its last
+tableau by the dual simplex (Kelley's cutting planes); the solvers read
+the strategy off the row duals.  How those responses are found, and the
+one limit on it, is game's alone.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .graph import (
     _scaled,
     validate_flow,
 )
-from .linopt import LpProblem, solve_lp
+from .linopt import LpProblem, _Simplex, solve_lp
 
 DEFAULT_PATH_LIMIT = 20000
 
@@ -127,11 +129,19 @@ def solve_ni(
     instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> NiSolution:
     """Best pure removal: the interdictor's best response to the capacities
-    (worst_removal), with the max flow left after it."""
-    caps = {aid: instance.effective_capacity(aid) for aid in instance.arc_ids()}
-    _, witness = worst_removal(instance, caps, scenario_limit)
+    (the least of removal_candidates), with the max flow left after it."""
+    return _ni(instance, scenario_limit)[0]
+
+
+def _ni(instance, scenario_limit):
+    """solve_ni's solution and the responses to the capacities it is the
+    least of, as a list: an open game's row generation starts from them."""
+    caps = _arc_weights(instance, None)
+    first = list(removal_candidates(instance, caps, scenario_limit))
+    _, response = min(first, key=lambda candidate: candidate[0])
+    witness = response()[0]
     value, flow = payoff_arc(instance, witness, caps)
-    return NiSolution(value=value, witness_scenario=witness, witness_flow=flow)
+    return NiSolution(value=value, witness_scenario=witness, witness_flow=flow), first
 
 
 def _row_generation(instance, master, objective, candidates):
@@ -145,16 +155,28 @@ def _row_generation(instance, master, objective, candidates):
     None, to score at the capacities, and below(z) is infinite) as
     (payoff, response); response() gives the scenario, the z and the
     columns it leaves alive, and is called only for the rows considered.
-    Each round adds the rows of at most m (the arc count) responses per z
+    Each round adds, per z, the rows of at most gamma + 1 responses
     violated by more than 1e-9 (1 + |z|), least payoff first, skipping rows
     already in the master, and stops when it adds none.  A repeated row
     cannot cut off the current point and the rows are finitely many, so
     the loop ends.  Returns the last LP solution and the mixed strategy of
     the rows' duals.
+
+    One master serves the whole loop (Kelley's cutting planes): each
+    round's rows are appended to its last optimal tableau and re-optimized
+    by the dual simplex (linopt._Simplex), and every round's point passes
+    the same KKT re-check as a cold solve.  Why gamma + 1 rows a round:
+    the optimal strategies of the paper's families have at most gamma + 1
+    scenarios (fig1 and fig2a remove gamma of some gamma + 1 arcs
+    uniformly), so one round can hold a whole support; with fewer the
+    next point moves its flow onto an arc that no row removes yet, and the
+    loop takes more rounds.  More rows per round make every re-solve
+    larger without saving rounds: most of them stay slack.
     """
     master.set_objective(objective)
     for z in objective:  # free, so the duals of its rows sum to its weight
         master.set_bounds(z, -math.inf, math.inf)
+    simplex = _Simplex(master)
     rows: dict[tuple[int, frozenset], tuple[int, Scenario]] = {}
     sol = None
     while True:
@@ -162,20 +184,20 @@ def _row_generation(instance, master, objective, candidates):
         if sol is not None:
             x = sol.x
             below = lambda z: float(x[z]) - 1e-9 * (1.0 + abs(float(x[z])))
-        added = 0
+        added = dict.fromkeys(objective, 0)
         for _, response in sorted(candidates(x, below), key=lambda c: c[0]):
-            if added == instance.arc_count * len(objective):
-                break
             scenario, z, alive = response()
             key = (z, frozenset(alive))
-            if key in rows:
+            if key in rows or added[z] > instance.gamma:
                 continue
             coeffs = {z: 1.0, **{j: -1.0 for j in alive}}
             rows[key] = (master.add_row(coeffs, "<=", 0.0), scenario)
-            added += 1
-        if not added:
+            added[z] += 1
+            if min(added.values()) > instance.gamma:
+                break
+        if not any(added.values()):
             break
-        sol = solve_lp(master)
+        sol = simplex.solve()
     strategy = MixedStrategy.normalized(
         (scenario, max(0.0, float(sol.duals[row]))) for row, scenario in rows.values()
     )
@@ -312,7 +334,10 @@ def _rni_path_rows(instance, path_limit, scenario_limit) -> RniSolution:
     """Z_RNI^Path by the same row generation as Z_RNI: the master is one
     column per s-t path under the arc capacities plus z, and each
     response's row bounds z by the paths that survive it.  The responses
-    are game.worst_path_removals on the master's path flow, in floats."""
+    are game.worst_path_removals on the master's path flow, in floats,
+    the gamma + 1 least a round.  When those are all rows the master has,
+    any other violated response is violated less than a row the master
+    holds, that is within the LP's own error, and the loop ends."""
     paths = enumerate_paths(instance, limit=path_limit)
     npaths = len(paths)
     master = LpProblem(npaths + 1, sense="max")
@@ -326,7 +351,7 @@ def _rni_path_rows(instance, path_limit, scenario_limit) -> RniSolution:
         flow = bottlenecks if x is None else [float(v) for v in x[:npaths]]
         support = [(path, f) for path, f in zip(paths, flow) if f > 1e-12]
         for payoff, scenario in worst_path_removals(
-            instance, support, instance.arc_count, below(npaths), scenario_limit
+            instance, support, instance.gamma + 1, below(npaths), scenario_limit
         ):
 
             def response(scenario=scenario):

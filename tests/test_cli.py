@@ -122,7 +122,7 @@ class TestSolve:
         def fail(*args, **kwargs):
             raise NumericalFailure("no status certified")
 
-        monkeypatch.setattr("interdict.solvers.solve_lp", fail)
+        monkeypatch.setattr("interdict.linopt._Simplex.solve", fail)
         code, stdout, _ = run(capsys, "solve", "--model", "rni", fig2a_file, "--json")
         assert code == 3
         assert json.loads(stdout)["error"] == {
@@ -146,7 +146,7 @@ class TestSolve:
     def test_limit_exit_two(self, fig2a_file, capsys):
         code, _, stderr = run(
             capsys, "solve", "--model", "rni-path", fig2a_file,
-            "--scenario-limit", "5",
+            "--scenario-limit", "3",
         )
         assert code == 2
         assert "exceed" in stderr
@@ -154,7 +154,7 @@ class TestSolve:
     def test_json_error_object(self, fig2a_file, capsys):
         code, stdout, _ = run(
             capsys, "solve", "--model", "rni-path", fig2a_file,
-            "--scenario-limit", "5", "--json",
+            "--scenario-limit", "3", "--json",
         )
         assert code == 2
         payload = json.loads(stdout)
@@ -169,7 +169,7 @@ class TestSolve:
         assert "Z_NI = 4" in stdout
 
     def test_env_override(self, fig2a_file, capsys, monkeypatch):
-        monkeypatch.setenv("INTERDICT_SCENARIO_LIMIT", "5")
+        monkeypatch.setenv("INTERDICT_SCENARIO_LIMIT", "3")
         code, _, _ = run(capsys, "solve", "--model", "rni-path", fig2a_file)
         assert code == 2
 

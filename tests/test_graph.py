@@ -310,8 +310,14 @@ def reference_case(kind, seed):
             fig2a(5, 2), fig2a(7, 2), fig1(7, 2), fig1(9, 3), fig2b(7, 3),
             random_instance(8, 14, 7, 3, 417),
         )[seed]
-        # the row-generation LP's point: solve_rni skips the LP on the last
-        # instance, whose game closes at Z_LO = Z_NI
+        # the row-generation LP's point with every capacity divided by 3:
+        # the exact points of fig1(9,3) and of the last instance are dyadic,
+        # and thirds are not.  solve_rni skips the LP on the last instance,
+        # whose game closes at Z_LO = Z_NI
+        inst = replace(inst, arcs=tuple(
+            arc if arc.capacity is None else replace(arc, capacity=arc.capacity / 3)
+            for arc in inst.arcs
+        ))
         caps = dict(_rni_rows(inst, DEFAULT_SCENARIO_LIMIT).flow_witness.values)
         assert max(c.denominator for c in caps.values()) > 2**40
         return inst, caps, None

@@ -307,27 +307,98 @@ class TestOptimalityRecheck:
         assert max(kkt_report(self.problem(), sol).values()) <= 1e-9
 
     def test_perturbed_simplex_point_is_refused(self, monkeypatch):
-        solve_standard = linopt._solve_standard
+        point = linopt._Simplex._point
 
-        def perturbed(*args):
-            status, s, duals = solve_standard(*args)
-            return status, s + 0.25, duals
+        def perturbed(simplex):
+            s, duals = point(simplex)
+            return s + 0.25, duals
 
-        monkeypatch.setattr(linopt, "_solve_standard", perturbed)
+        monkeypatch.setattr(linopt._Simplex, "_point", perturbed)
         with pytest.raises(NumericalFailure, match="optimality re-check failed"):
             solve_lp(self.problem())
+
+
+def warm_parts(prob, batches):
+    """A copy of prob without its rows, then the rows added in the given
+    number of batches, the tableau re-solved after each: yields (part,
+    solution) per solve, the first cold and the rest warm."""
+    part = LpProblem(prob.num_vars, sense=prob.sense)
+    part.objective, part.lower, part.upper = prob.objective, prob.lower, prob.upper
+    simplex = linopt._Simplex(part)
+    size = -(-len(prob.rows) // batches)
+    for start in range(0, len(prob.rows), size):
+        for row in prob.rows[start : start + size]:
+            part.add_row(*row)
+        yield part, simplex.solve()
+
+
+class TestWarmStart:
+    """Rows appended to a solved tableau and re-optimized by the dual
+    simplex give the cold solve's optimum, and each solve passes KKT."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_appended_rows_match_the_cold_solve(self, seed):
+        rng = random.Random(30_000 + seed)
+        prob = random_feasible_lp(rng)  # boxed, so every part is bounded
+        for part, sol in warm_parts(prob, rng.randint(2, 4)):
+            assert sol.status == "optimal"
+            report = kkt_report(part, sol)
+            assert max(report.values()) <= 1e-7 * (1.0 + abs(sol.objective))
+        cold = solve_lp(prob)
+        assert abs(sol.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+
+    def test_one_row_at_a_time(self):
+        prob = random_feasible_lp(random.Random(7), max_vars=12, max_rows=30)
+        *_, (part, sol) = warm_parts(prob, len(prob.rows))
+        assert max(kkt_report(part, sol).values()) <= 1e-7 * (1.0 + abs(sol.objective))
+        assert sol.objective == pytest.approx(solve_lp(prob).objective, abs=1e-9)
+
+    def test_appended_row_can_make_the_lp_infeasible(self):
+        prob = TestOptimalityRecheck.problem()  # value 3, x0 + x1 <= 3
+        simplex = linopt._Simplex(prob)
+        assert simplex.solve().objective == pytest.approx(3)
+        prob.add_row({0: 1, 1: 1}, ">=", 5)
+        assert simplex.solve().status == "infeasible"
+        assert solve_lp(prob).status == "infeasible"
+
+    def test_equality_row_cannot_be_appended(self):
+        prob = TestOptimalityRecheck.problem()
+        simplex = linopt._Simplex(prob)
+        simplex.solve()
+        prob.add_row({0: 1}, "=", 2)
+        with pytest.raises(ValueError, match="inequality"):
+            simplex.solve()
+
+    def test_solve_with_no_new_rows_keeps_the_optimum(self):
+        prob = TestOptimalityRecheck.problem()
+        simplex = linopt._Simplex(prob)
+        first = simplex.solve()
+        again = simplex.solve()
+        assert simplex.iterations == 0
+        assert np.array_equal(first.x, again.x)
+        assert np.array_equal(first.duals, again.duals)
+        fixed = LpProblem(1)  # no rows and no standard columns
+        fixed.set_objective({0: 1})
+        fixed.set_bounds(0, 2, 2)
+        simplex = linopt._Simplex(fixed)
+        assert simplex.solve().objective == simplex.solve().objective == 2
 
 
 @pytest.fixture
 def bland_only(monkeypatch):
     """Bland's rule from the first pivot instead of after the
-    largest-coefficient ones: every phase runs with bland_after = -1."""
-    run_phase = linopt._run_phase
+    largest-coefficient ones: every phase, primal or dual, runs with
+    bland_after = -1."""
+    run_phase, dual_phase = linopt._run_phase, linopt._dual_phase
 
     def bland(T, basis, m, cost_row, allowed, bland_after, max_iter, iters):
         return run_phase(T, basis, m, cost_row, allowed, -1, max_iter, iters)
 
+    def dual_bland(T, basis, m, allowed, bland_after, max_iter, iters):
+        return dual_phase(T, basis, m, allowed, -1, max_iter, iters)
+
     monkeypatch.setattr(linopt, "_run_phase", bland)
+    monkeypatch.setattr(linopt, "_dual_phase", dual_bland)
 
 
 class TestBlandsRule:
@@ -348,6 +419,14 @@ class TestBlandsRule:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(vertex_oracle(prob), abs=1e-6)
         assert max(kkt_report(prob, sol).values()) <= 1e-7 * (1.0 + abs(sol.objective))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_warm_start_matches_the_cold_solve(self, bland_only, seed):
+        rng = random.Random(30_000 + seed)
+        prob = random_feasible_lp(rng)
+        for part, sol in warm_parts(prob, rng.randint(2, 4)):
+            assert max(kkt_report(part, sol).values()) <= 1e-7 * (1.0 + abs(sol.objective))
+        assert sol.objective == pytest.approx(solve_lp(prob).objective, abs=1e-6)
 
     @pytest.mark.parametrize(
         "family, k, values",

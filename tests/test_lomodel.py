@@ -180,6 +180,26 @@ class TestPathModelFactor:
 
 
 class TestApproxReport:
+    def test_open_game_enumerates_the_capacities_once(self, monkeypatch):
+        # Z_NI's responses to the capacities are the arc loop's first round
+        from interdict import game, solvers
+
+        inst = fig2b(48, 2)
+        caps = {aid: inst.effective_capacity(aid) for aid in inst.arc_ids()}
+        removal_candidates = game.removal_candidates
+        weights_seen = []
+
+        def recording(instance, weights, *args, **kwargs):
+            weights_seen.append(dict(weights))
+            return removal_candidates(instance, weights, *args, **kwargs)
+
+        monkeypatch.setattr(game, "removal_candidates", recording)
+        monkeypatch.setattr(solvers, "removal_candidates", recording)
+        report = approx_report(inst)
+        assert report.z_lo < report.z_ni  # open, so the row generation ran
+        assert len(weights_seen) > 1
+        assert sum(weights == caps for weights in weights_seen) == 1
+
     def test_fig1_values_and_tight_rows(self):
         report = approx_report(fig1(12, 2))
         assert report.z_ni == pytest.approx(11)

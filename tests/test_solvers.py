@@ -23,7 +23,7 @@ from interdict.game import (
     worst_removal,
 )
 from interdict.instances import fig1, fig2a, fig2b, random_instance
-from interdict.linopt import solve_lp
+from interdict.linopt import _Simplex, solve_lp
 from interdict.lomodel import solve_lo
 from interdict.solvers import (
     GammaMismatch,
@@ -336,11 +336,12 @@ class TestBestResponses:
         sol = solve_rni(inst)
         widths = []
 
-        def recording(problem, *args, **kwargs):
-            widths.append(problem.num_vars)
-            return solve_lp(problem, *args, **kwargs)
+        class Recording(_Simplex):
+            def solve(self):
+                widths.append(self.problem.num_vars)
+                return super().solve()
 
-        monkeypatch.setattr(solvers, "solve_lp", recording)
+        monkeypatch.setattr(solvers, "_Simplex", Recording)
         assert certify(inst, sol, kind="arc").passed
         assert widths
         assert max(widths) <= inst.arc_count + len(sol.strategy.support) == 108
@@ -608,6 +609,7 @@ class TestClosedGame:
     def test_pure_best_responses_need_no_lp(self, monkeypatch):
         inst = fig2a(6, 2)
         monkeypatch.setattr(solvers, "solve_lp", None)  # any LP would raise
+        monkeypatch.setattr(solvers, "_Simplex", None)
         alpha = MixedStrategy.degenerate(Scenario((1, 7)))
         value, flow = best_response_arc(inst, alpha)  # 5 unit arcs are left
         assert value == 5.0 and flow.value == 5
@@ -621,3 +623,86 @@ class TestClosedGame:
         # the polynomial checks pass where no enumeration is allowed
         assert certify(inst, arc, kind="arc", scenario_limit=1).passed
         assert certify(inst, path, kind="path", scenario_limit=1).passed
+
+
+WARM_FAMILIES = [
+    ("fig1", 12, 2), ("fig2a", 6, 2), ("fig2a", 20, 3), ("fig2a", 100, 3),
+    ("fig2b", 12, 2), ("fig2b", 24, 2), ("fig2b", 48, 2),
+]
+
+
+def warm_case(case):
+    if isinstance(case, int):
+        return property_corpus()[case]
+    family, k, gamma = case
+    return {"fig1": fig1, "fig2a": fig2a, "fig2b": fig2b}[family](k, gamma)
+
+
+@pytest.fixture
+def masters(monkeypatch):
+    """Every row-generation master the solvers build, with the solution of
+    its last solve, keyed by the master's id."""
+    final = {}
+
+    class Recording(_Simplex):
+        def solve(self):
+            sol = super().solve()
+            final[id(self.problem)] = (self.problem, sol, self.iterations)
+            return sol
+
+    monkeypatch.setattr(solvers, "_Simplex", Recording)
+    return final
+
+
+class TestWarmMaster:
+    """The row generation's one master, re-optimized by the dual simplex
+    each round, ends where a cold solve of its final rows does."""
+
+    @pytest.mark.parametrize("case", [*WARM_FAMILIES, *range(50)], ids=str)
+    def test_values_match_a_cold_solve_of_the_final_master(self, masters, case):
+        inst = warm_case(case)
+        # driven open: the row generation runs even where the game closes
+        arc = solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
+        path = solvers._rni_path_rows(
+            inst, solvers.DEFAULT_PATH_LIMIT, solvers.DEFAULT_SCENARIO_LIMIT
+        )
+        best_response_arc(inst, arc.strategy)
+        assert certify(inst, arc, kind="arc").passed
+        assert certify(inst, path, kind="path").passed
+        assert masters
+        for problem, sol, _ in masters.values():
+            cold = solve_lp(problem)
+            assert abs(sol.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+
+    def test_warm_rounds_pivot_less_than_a_cold_solve(self, monkeypatch):
+        inst = fig2a(100, 3)
+        rounds = []
+
+        class Recording(_Simplex):
+            def solve(self):
+                sol = super().solve()
+                rounds.append((self.problem, self.iterations))
+                return sol
+
+        monkeypatch.setattr(solvers, "_Simplex", Recording)
+        solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
+        (master, _), *warm = rounds
+        assert warm and all(problem is master for problem, _ in warm)
+        cold = _Simplex(master)
+        cold.solve()
+        assert sum(pivots for _, pivots in warm) < cold.iterations
+
+    def test_rounds_add_at_most_gamma_plus_one_rows(self, monkeypatch):
+        inst = fig2a(100, 3)
+        sizes = []
+
+        class Recording(_Simplex):
+            def solve(self):
+                sizes.append(len(self.problem.rows))
+                return super().solve()
+
+        monkeypatch.setattr(solvers, "_Simplex", Recording)
+        solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
+        conservation = len(inst.internal_nodes())
+        grown = [b - a for a, b in zip([conservation, *sizes], sizes)]
+        assert grown and all(1 <= rows <= inst.gamma + 1 for rows in grown)
