@@ -639,19 +639,19 @@ def warm_case(case):
 
 
 @pytest.fixture
-def masters(monkeypatch):
-    """Every row-generation master the solvers build, with the solution of
-    its last solve, keyed by the master's id."""
-    final = {}
+def solves(monkeypatch):
+    """(master, its row count, pivots, solution) of every solve of a
+    row-generation master, in order."""
+    log = []
 
     class Recording(_Simplex):
         def solve(self):
             sol = super().solve()
-            final[id(self.problem)] = (self.problem, sol, self.iterations)
+            log.append((self.problem, len(self.problem.rows), self.iterations, sol))
             return sol
 
     monkeypatch.setattr(solvers, "_Simplex", Recording)
-    return final
+    return log
 
 
 class TestWarmMaster:
@@ -659,7 +659,7 @@ class TestWarmMaster:
     each round, ends where a cold solve of its final rows does."""
 
     @pytest.mark.parametrize("case", [*WARM_FAMILIES, *range(50)], ids=str)
-    def test_values_match_a_cold_solve_of_the_final_master(self, masters, case):
+    def test_values_match_a_cold_solve_of_the_final_master(self, solves, case):
         inst = warm_case(case)
         # driven open: the row generation runs even where the game closes
         arc = solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
@@ -669,40 +669,23 @@ class TestWarmMaster:
         best_response_arc(inst, arc.strategy)
         assert certify(inst, arc, kind="arc").passed
         assert certify(inst, path, kind="path").passed
-        assert masters
-        for problem, sol, _ in masters.values():
-            cold = solve_lp(problem)
+        final = {id(master): (master, sol) for master, _, _, sol in solves}
+        assert final
+        for master, sol in final.values():
+            cold = solve_lp(master)
             assert abs(sol.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
 
-    def test_warm_rounds_pivot_less_than_a_cold_solve(self, monkeypatch):
-        inst = fig2a(100, 3)
-        rounds = []
-
-        class Recording(_Simplex):
-            def solve(self):
-                sol = super().solve()
-                rounds.append((self.problem, self.iterations))
-                return sol
-
-        monkeypatch.setattr(solvers, "_Simplex", Recording)
-        solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
-        (master, _), *warm = rounds
-        assert warm and all(problem is master for problem, _ in warm)
+    def test_warm_rounds_pivot_less_than_a_cold_solve(self, solves):
+        solvers._rni_rows(fig2a(100, 3), solvers.DEFAULT_SCENARIO_LIMIT)
+        (master, _, _, _), *warm = solves
+        assert warm and all(problem is master for problem, _, _, _ in warm)
         cold = _Simplex(master)
         cold.solve()
-        assert sum(pivots for _, pivots in warm) < cold.iterations
+        assert sum(pivots for _, _, pivots, _ in warm) < cold.iterations
 
-    def test_rounds_add_at_most_gamma_plus_one_rows(self, monkeypatch):
+    def test_rounds_add_at_most_gamma_plus_one_rows(self, solves):
         inst = fig2a(100, 3)
-        sizes = []
-
-        class Recording(_Simplex):
-            def solve(self):
-                sizes.append(len(self.problem.rows))
-                return super().solve()
-
-        monkeypatch.setattr(solvers, "_Simplex", Recording)
         solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
-        conservation = len(inst.internal_nodes())
-        grown = [b - a for a, b in zip([conservation, *sizes], sizes)]
+        sizes = [len(inst.internal_nodes())] + [rows for _, rows, _, _ in solves]
+        grown = [b - a for a, b in zip(sizes, sizes[1:])]
         assert grown and all(1 <= rows <= inst.gamma + 1 for rows in grown)
