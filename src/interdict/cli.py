@@ -2,7 +2,8 @@
 bound reports, as plain tables or JSON.
 
 Exit codes: 0 success, 1 bad arguments or unparsable input, 2 resource
-limit exceeded (scenario or path limit), 3 numerical failure.
+limit exceeded (the scenario limit, which also caps the s-t paths the
+path model enumerates), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 from .game import DEFAULT_SCENARIO_LIMIT, ScenarioLimitExceeded
-from .graph import PathLimitExceeded
 from .instances import (
     FAMILIES,
     GeneratorSpec,
@@ -27,7 +27,6 @@ from .instances import (
 from .linopt import NumericalFailure
 from .lomodel import approx_report, solve_lo
 from .solvers import (
-    DEFAULT_PATH_LIMIT,
     GammaMismatch,
     certify,
     certify_gamma1,
@@ -45,14 +44,12 @@ PROB_PRINT_FLOOR = 1e-9
 @dataclass
 class CliConfig:
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT
-    path_limit: int = DEFAULT_PATH_LIMIT
     tolerance: float = 1e-6
     output: str = "table"
 
     def __post_init__(self):
-        for name in ("scenario_limit", "path_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.scenario_limit < 1:
+            raise ValueError("scenario_limit must be positive")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must lie in (0, 1)")
 
@@ -70,7 +67,6 @@ def config_from(args) -> CliConfig:
     """Precedence: command-line flag, then INTERDICT_* env var, then default."""
     return CliConfig(
         scenario_limit=_setting(args, "scenario_limit", DEFAULT_SCENARIO_LIMIT),
-        path_limit=_setting(args, "path_limit", DEFAULT_PATH_LIMIT),
         tolerance=_setting(args, "tolerance", 1e-6, parse=float),
         output="json" if getattr(args, "json", False) else "table",
     )
@@ -101,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="instance file, or - for stdin")
         p.add_argument("--json", action="store_true")
         p.add_argument("--scenario-limit", type=int, dest="scenario_limit")
-        p.add_argument("--path-limit", type=int, dest="path_limit")
         p.add_argument("--tolerance", type=float)
 
     slv = sub.add_parser("solve", help="solve one model")
@@ -236,11 +231,7 @@ def cmd_solve(args) -> int:
             instance, sol, "arc", config.tolerance, config.scenario_limit
         )
     elif model == "rni-path":
-        sol = solve_rni_path(
-            instance,
-            path_limit=config.path_limit,
-            scenario_limit=config.scenario_limit,
-        )
+        sol = solve_rni_path(instance, scenario_limit=config.scenario_limit)
         value = sol.value
         strategy = sol.strategy
         flow = sol.flow_witness
@@ -250,7 +241,6 @@ def cmd_solve(args) -> int:
             kind="path",
             tolerance=config.tolerance,
             scenario_limit=config.scenario_limit,
-            path_limit=config.path_limit,
         )
     elif model == "lo":
         sol = solve_lo(instance)
@@ -306,7 +296,6 @@ def cmd_report(args) -> int:
         instance,
         tolerance=config.tolerance,
         scenario_limit=config.scenario_limit,
-        path_limit=config.path_limit,
     )
     if config.output == "json":
         payload = {
@@ -380,7 +369,7 @@ def main(argv=None) -> int:
         return cmd_report(args)
     except (ParseError, SpecInvalid, GammaMismatch, ValueError, OSError) as exc:
         return fail(1, "input", exc)
-    except (ScenarioLimitExceeded, PathLimitExceeded) as exc:
+    except ScenarioLimitExceeded as exc:
         return fail(2, "limit", exc)
     except NumericalFailure as exc:
         return fail(3, "numerical", exc)

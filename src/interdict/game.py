@@ -6,13 +6,15 @@ gone; the path-based payoff is the committed path flow surviving removal
 (a path dies if any of its arcs is removed).  Both are evaluated exactly.
 
 Only this module knows how the interdictor's exact best response is found:
-one way per payoff model, under one limit.  In the arc model
-removal_candidates enumerates the scenarios or the s-t cuts, whichever are
-fewer, on the weights scaled once to integers over their common
-denominator (one max flow per scenario gives its payoff and its kept
-arcs), and worst_removal is its first minimizer; the same max flows score
-a mixed strategy's support in the arc certificate.  In the path model
-worst_path_removals is a branch-and-bound search.  The solvers' rows and
+one way per payoff model, under one limit, scenario_limit.  Its error,
+ScenarioLimitExceeded, is defined in graph, whose enumerate_paths counts
+the path model's s-t paths against the same limit, and is re-exported
+here.  In the arc model removal_candidates enumerates the scenarios or
+the s-t cuts, whichever are fewer, on the weights scaled once to integers
+over their common denominator (one max flow per scenario gives its payoff
+and its kept arcs), and worst_removal is its first minimizer; the same max
+flows score a mixed strategy's support in the arc certificate.  In the
+path model worst_path_removals is a branch-and-bound search.  The solvers' rows and
 certificates and the deterministic value all come from these.
 """
 
@@ -31,6 +33,7 @@ from .graph import (
     Instance,
     Numeric,
     PathFlow,
+    ScenarioLimitExceeded,
     _augment,
     _crossing,
     _scaled,
@@ -41,10 +44,6 @@ from .graph import (
 )
 
 DEFAULT_SCENARIO_LIMIT = 20000
-
-
-class ScenarioLimitExceeded(Exception):
-    """The scenario count puts exact enumeration out of desk-scale range."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ the inputs are rational (floats convert exactly to binary rationals).  The
 max-flow kernel scales the capacities once to integers over the LCM D of
 their denominators and augments on Python ints; flows come back as
 Fraction(f, D).  Unbounded capacities are materialized as a finite big-M
-chosen so it can never bind.
+chosen so it can never bind.  Enumerations that grow exponentially stop
+at one limit and raise ScenarioLimitExceeded (enumerate_paths here; the
+interdictor's enumerations in game).
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ Numeric = Union[int, float, Fraction]
 ArcId = int
 
 
-class PathLimitExceeded(Exception):
-    """s-t path enumeration would exceed the requested limit."""
+class ScenarioLimitExceeded(Exception):
+    """An exact enumeration (removals, cuts, or s-t paths) would pass the
+    one limit that keeps it at desk scale."""
 
 
 def as_fraction(value: Numeric) -> Fraction:
@@ -374,32 +377,35 @@ def decompose(instance: Instance, flow: ArcFlow) -> PathFlow:
 def enumerate_paths(instance: Instance, limit: int) -> list[tuple[ArcId, ...]]:
     """All node-simple s-t paths as arc-id tuples, in lexicographic order.
 
-    Raises PathLimitExceeded as soon as the count would pass ``limit``,
-    signalling that the instance is too large for path-based solvers.
+    Raises ScenarioLimitExceeded as soon as the count would pass ``limit``,
+    the same limit that caps the interdictor's enumerations.  The depth
+    first search keeps its own stack, so a path may be any length.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    out_ids, heads = instance._adjacency[0], instance._ends[1]
+    sink = instance.sink
     paths: list[tuple[ArcId, ...]] = []
-    stack_path: list[ArcId] = []
+    path: list[ArcId] = []
     on_path = {instance.source}
-
-    def visit(u: int):
-        if u == instance.sink:
-            if len(paths) >= limit:
-                raise PathLimitExceeded(f"more than {limit} s-t paths")
-            paths.append(tuple(stack_path))
-            return
-        for aid in instance.out_ids(u):
-            v = instance.arc(aid).head
-            if v in on_path:
-                continue
-            on_path.add(v)
-            stack_path.append(aid)
-            visit(v)
-            stack_path.pop()
-            on_path.remove(v)
-
-    visit(instance.source)
+    # one iterator per node on the path, over the out-arcs it has yet to try
+    stack = [iter(out_ids[instance.source])]
+    while stack:
+        for aid in stack[-1]:
+            v = heads[aid]
+            if v == sink:
+                if len(paths) >= limit:
+                    raise ScenarioLimitExceeded(f"s-t paths exceed the limit of {limit}")
+                paths.append((*path, aid))
+            elif v not in on_path:
+                on_path.add(v)
+                path.append(aid)
+                stack.append(iter(out_ids[v]))
+                break
+        else:  # the last node's arcs are all tried: step back from it
+            stack.pop()
+            if path:
+                on_path.remove(heads[path.pop()])
     return paths
 
 

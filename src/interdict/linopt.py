@@ -252,9 +252,8 @@ class _Simplex:
     through the pivots.  ``iterations`` is the last solve's pivot count.
     """
 
-    def __init__(self, problem: LpProblem, max_iterations=None):
+    def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.max_iterations = max_iterations
         self.status = None
         self.iterations = 0
 
@@ -273,8 +272,7 @@ class _Simplex:
     def _caps(self):
         """(bland_after, max_iterations) for the tableau's current size."""
         size = len(self.basis) + self.T.shape[1] - 1
-        cap = self.max_iterations
-        return 2 * size + 200, 50 * size + 5000 if cap is None else cap
+        return 2 * size + 200, 50 * size + 5000
 
     def _cold(self) -> str:
         problem = self.problem
@@ -472,11 +470,11 @@ def _scale(problem: LpProblem, A, b) -> float:
     )
 
 
-def solve_lp(problem: LpProblem, max_iterations=None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the problem, returning primal values, row duals, and status.
 
     Raises NumericalFailure if no status can be certified within the
     iteration cap or the optimum fails its KKT re-check; a wrong answer is
     never returned silently.  This is the cold start of _Simplex.
     """
-    return _Simplex(problem, max_iterations).solve()
+    return _Simplex(problem).solve()

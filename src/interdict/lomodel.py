@@ -36,14 +36,12 @@ from .graph import (
     CutReport,
     Instance,
     Numeric,
-    PathLimitExceeded,
     as_fraction,
     decompose,
     max_flow,
     min_cut,
 )
 from .solvers import (
-    DEFAULT_PATH_LIMIT,
     RniSolution,
     _closed,
     _ni,
@@ -286,14 +284,14 @@ def approx_report(
     instance: Instance,
     tolerance: float = 1e-6,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    path_limit: int = DEFAULT_PATH_LIMIT,
 ) -> ApproxReport:
     """Solve every model that fits the limits and tabulate the value chain,
     the guaranteed ratio bounds, the certificate-cut conditions, and the
     conditional identities (premises checked with a 1e-9 margin).  Ratios
     with a vanishing denominator report NA, never infinity.  Solvers whose
-    limits are exceeded are skipped and flagged (partial result); the RNI
-    solutions are kept on the report for certification.  Where Z_LO = Z_NI
+    enumerations (removals, cuts, or s-t paths) pass scenario_limit are
+    skipped and flagged (partial result); the RNI solutions are kept on
+    the report for certification.  Where Z_LO = Z_NI
     both are the closed game's (the NI removal, with the LO witness flow or
     its decomposition) and no RNI solver runs; otherwise the RNI solvers'
     row generation runs without their closure test, already decided,
@@ -307,26 +305,26 @@ def approx_report(
     # the below-cut's arcs with u_e < theta*: the other a are capped at theta*
     big_l = float(s_prime.capacity_at_theta - a * lo.theta_star)
     skipped = []
-    ni = rni = rni_path = first = None
+    z_ni = rni = rni_path = first = None
     try:
-        ni, first = _ni(instance, scenario_limit)
+        z_ni, scenario, first = _ni(instance, scenario_limit)
     except ScenarioLimitExceeded:
         skipped.append("ni")
-    if ni is not None and ni.value == lo.value:
+    if z_ni is not None and z_ni == lo.value:
         # Z_LO = Z_NI closes the game at the NI removal and the LO flow
-        rni = _closed(ni.value, ni.witness_scenario, lo.flow)
-        rni_path = _closed(ni.value, ni.witness_scenario, decompose(instance, lo.flow))
+        rni = _closed(z_ni, scenario, lo.flow)
+        rni_path = _closed(z_ni, scenario, decompose(instance, lo.flow))
     else:
         try:
             rni = _rni_rows(instance, scenario_limit, first)
         except ScenarioLimitExceeded:
             skipped.append("rni")
         try:
-            rni_path = _rni_path_rows(instance, path_limit, scenario_limit)
-        except (ScenarioLimitExceeded, PathLimitExceeded):
+            rni_path = _rni_path_rows(instance, scenario_limit)
+        except ScenarioLimitExceeded:
             skipped.append("rni_path")
 
-    z_ni = None if ni is None else float(ni.value)
+    z_ni = None if z_ni is None else float(z_ni)
     z_rni = None if rni is None else rni.value
     z_rni_path = None if rni_path is None else rni_path.value
     z_lo = float(lo.value)

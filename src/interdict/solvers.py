@@ -25,7 +25,8 @@ current point violates, taken from game's best response for the model,
 at most gamma + 1 of them per round, and re-optimizes it from its last
 tableau by the dual simplex (Kelley's cutting planes); the solvers read
 the strategy off the row duals.  How those responses are found, and the
-one limit on it, is game's alone.
+one limit on it, is game's alone; the path model's s-t paths
+(graph.enumerate_paths) count against the same scenario_limit.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ from .graph import (
     validate_flow,
 )
 from .linopt import LpProblem, _Simplex, solve_lp
-
-DEFAULT_PATH_LIMIT = 20000
 
 
 class GammaMismatch(Exception):
@@ -129,19 +128,22 @@ def solve_ni(
     instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> NiSolution:
     """Best pure removal: the interdictor's best response to the capacities
-    (the least of removal_candidates), with the max flow left after it."""
-    return _ni(instance, scenario_limit)[0]
+    (worst_removal, which keeps no response but the least), with the max
+    flow left after it."""
+    caps = _arc_weights(instance, None)
+    _, scenario = worst_removal(instance, caps, scenario_limit)
+    value, flow = payoff_arc(instance, scenario, caps)
+    return NiSolution(value=value, witness_scenario=scenario, witness_flow=flow)
 
 
 def _ni(instance, scenario_limit):
-    """solve_ni's solution and the responses to the capacities it is the
-    least of, as a list: an open game's row generation starts from them."""
+    """Z_NI, its first minimizing scenario (worst_removal's), and the
+    responses to the capacities it is the least of, as a list: an open
+    game's row generation starts from them.  No max flow beyond theirs."""
     caps = _arc_weights(instance, None)
     first = list(removal_candidates(instance, caps, scenario_limit))
-    _, response = min(first, key=lambda candidate: candidate[0])
-    witness = response()[0]
-    value, flow = payoff_arc(instance, witness, caps)
-    return NiSolution(value=value, witness_scenario=witness, witness_flow=flow), first
+    z_ni, response = min(first, key=lambda candidate: candidate[0])
+    return z_ni, response()[0], first
 
 
 def _row_generation(instance, master, objective, candidates):
@@ -268,10 +270,7 @@ def solve_rni(
     Otherwise the row generation decides, starting from those responses
     (_rni_rows).
     """
-    caps = _arc_weights(instance, None)
-    first = list(removal_candidates(instance, caps, scenario_limit))
-    z_ni, response = min(first, key=lambda candidate: candidate[0])
-    scenario = response()[0]
+    z_ni, scenario, first = _ni(instance, scenario_limit)
     flow = _closing_flow(instance, z_ni, scenario)
     if flow is not None:
         return _closed(z_ni, scenario, flow)
@@ -309,15 +308,14 @@ def _rni_rows(instance, scenario_limit, first=None) -> RniSolution:
 
 
 def solve_rni_path(
-    instance: Instance,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
+    instance: Instance, scenario_limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> RniSolution:
     """Randomized value in the path-based payoff model.  When the LO model
     reaches Z_NI (solve_ni's enumeration, then _closing_flow), that is the
     value, with the pure NI removal and the decomposed LO probe flow;
     when the NI enumeration is over the scenario limit, or the LO model
-    stays below, the row generation decides (_rni_path_rows)."""
+    stays below, the row generation decides (_rni_path_rows), whose s-t
+    paths count against the same limit."""
     caps = _arc_weights(instance, None)
     try:
         z_ni, scenario = worst_removal(instance, caps, scenario_limit)
@@ -327,18 +325,20 @@ def solve_rni_path(
         flow = _closing_flow(instance, z_ni, scenario)
     if flow is not None:
         return _closed(z_ni, scenario, decompose(instance, flow))
-    return _rni_path_rows(instance, path_limit, scenario_limit)
+    return _rni_path_rows(instance, scenario_limit)
 
 
-def _rni_path_rows(instance, path_limit, scenario_limit) -> RniSolution:
+def _rni_path_rows(instance, scenario_limit) -> RniSolution:
     """Z_RNI^Path by the same row generation as Z_RNI: the master is one
     column per s-t path under the arc capacities plus z, and each
     response's row bounds z by the paths that survive it.  The responses
     are game.worst_path_removals on the master's path flow, in floats,
     the gamma + 1 least a round.  When those are all rows the master has,
     any other violated response is violated less than a row the master
-    holds, that is within the LP's own error, and the loop ends."""
-    paths = enumerate_paths(instance, limit=path_limit)
+    holds, that is within the LP's own error, and the loop ends.  The
+    s-t paths and the search's removals each count against
+    scenario_limit."""
+    paths = enumerate_paths(instance, limit=scenario_limit)
     npaths = len(paths)
     master = LpProblem(npaths + 1, sense="max")
     _add_path_capacities(master, instance, paths)
@@ -493,17 +493,18 @@ def best_response_arc(
 def best_response_path(
     instance: Instance,
     alpha: MixedStrategy,
-    path_limit: int = DEFAULT_PATH_LIMIT,
+    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> tuple[float, PathFlow]:
     """Best committed path flow against the mixed strategy.  A pure
     strategy's is the decomposed max flow without its scenario
     (_pure_response); otherwise one LP maximizes survival-weighted path
-    flow under the arc capacities."""
+    flow under the arc capacities, over the s-t paths, which count
+    against scenario_limit."""
     pure = _pure_response(instance, alpha)
     if pure is not None:
         value, flow = pure
         return value, decompose(instance, flow)
-    paths = enumerate_paths(instance, limit=path_limit)
+    paths = enumerate_paths(instance, limit=scenario_limit)
     lp = LpProblem(max(1, len(paths)), sense="max")
     weights = []
     for path in paths:
@@ -556,7 +557,6 @@ def certify(
     kind: str,
     tolerance: float = 1e-6,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    path_limit: int = DEFAULT_PATH_LIMIT,
 ) -> CertificateReport:
     """Two-sided saddle check, independent of how the solution was found.
 
@@ -603,9 +603,7 @@ def certify(
     if kind == "arc":
         adversary, _ = best_response_arc(instance, solution.strategy)
     else:
-        adversary, _ = best_response_path(
-            instance, solution.strategy, path_limit=path_limit
-        )
+        adversary, _ = best_response_path(instance, solution.strategy, scenario_limit)
     flow_gap = value - float(worst)
     adversary_gap = adversary - value
     passed = feasible and abs(flow_gap) <= tol and abs(adversary_gap) <= tol

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from interdict.cli import main
+from interdict.graph import Arc, Instance
 from interdict.instances import fig2a, parse, serialize
 from interdict.linopt import NumericalFailure
 
@@ -58,6 +60,7 @@ class TestGenerate:
         for argv in (
             ("generate", "--family", "fig2a", "--oops", "1"),
             ("solve", "--model", "ni", fig2a_file, "--cut-limit", "5"),
+            ("solve", "--model", "ni", fig2a_file, "--path-limit", "5"),
         ):
             with pytest.raises(SystemExit) as err:
                 run(capsys, *argv)
@@ -228,3 +231,30 @@ class TestReport:
         assert code == 0
         assert "partial result: skipped rni_path (limits)" in stdout
         assert "Z_RNI^Path = n/a" in stdout
+
+
+@pytest.fixture(scope="module")
+def long_chain_file(tmp_path_factory):
+    """1,100 nodes in a chain, 3 parallel unit arcs per link, gamma 2: its
+    s-t paths are 1,099 arcs long and far more than any limit."""
+    n = 1100
+    arcs = tuple(Arc(v, v + 1, Fraction(1)) for v in range(1, n) for _ in range(3))
+    path = tmp_path_factory.mktemp("chain") / "chain.txt"
+    path.write_text(serialize(Instance(n, 1, n, arcs, 2)))
+    return str(path)
+
+
+class TestLongPaths:
+    def test_path_model_is_refused_by_the_limit(self, long_chain_file, capsys):
+        code, stdout, _ = run(
+            capsys, "solve", "--model", "rni-path", long_chain_file, "--json"
+        )
+        assert code == 2
+        assert json.loads(stdout)["error"]["kind"] == "limit"
+
+    def test_report_is_partial(self, long_chain_file, capsys):
+        code, stdout, _ = run(capsys, "report", long_chain_file, "--json")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["partial"] is True
+        assert payload["skipped"] == ["ni", "rni", "rni_path"]

@@ -11,7 +11,7 @@ from interdict.graph import (
     ArcFlow,
     Instance,
     PathFlow,
-    PathLimitExceeded,
+    ScenarioLimitExceeded,
     decompose,
     enumerate_paths,
     iter_cuts,
@@ -219,8 +219,14 @@ class TestEnumeratePaths:
         assert len(enumerate_paths(fig1(12, 2), limit=100)) == 39
 
     def test_limit_enforced(self):
-        with pytest.raises(PathLimitExceeded):
+        with pytest.raises(ScenarioLimitExceeded, match="limit of 38"):
             enumerate_paths(fig1(12, 2), limit=38)
+
+    def test_path_longer_than_the_recursion_limit(self):
+        n = 1100  # a path of 1,099 arcs
+        arcs = tuple(Arc(v, v + 1, Fraction(1)) for v in range(1, n))
+        chain = Instance(n, 1, n, arcs, 1)
+        assert enumerate_paths(chain, limit=1) == [tuple(range(1, n))]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_networkx_simple_paths(self, seed):

@@ -215,14 +215,20 @@ class TestBasics:
         assert sol.objective == pytest.approx(3)
         assert list(sol.x) == [1, 0]
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        run_phase = linopt._run_phase
+
+        def one_pivot(T, basis, m, cost_row, allowed, bland_after, max_iter, iters):
+            return run_phase(T, basis, m, cost_row, allowed, bland_after, 1, iters)
+
+        monkeypatch.setattr(linopt, "_run_phase", one_pivot)
         prob = LpProblem(6)
         prob.set_objective({j: 1 for j in range(6)})
         for j in range(6):
             prob.set_bounds(j, 0, 1)
         prob.add_row({j: 1 for j in range(6)}, "<=", 3)
-        with pytest.raises(NumericalFailure):
-            solve_lp(prob, max_iterations=1)
+        with pytest.raises(NumericalFailure, match="within 1 pivots"):
+            solve_lp(prob)
 
 
 class TestProperties:

@@ -241,10 +241,10 @@ class TestApproxReport:
         assert all(bc.verdict != "FAIL" for bc in report.bounds)
 
     def test_partial_report_when_paths_outgrow_limit(self):
-        inst = fig1(12, 2)
-        report = approx_report(inst, path_limit=10)
+        inst = fig1(12, 2)  # 2 cuts fit the limit, its 39 s-t paths do not
+        report = approx_report(inst, scenario_limit=10)
         assert report.partial
-        assert "rni_path" in report.skipped
+        assert report.skipped == ("rni_path",)
         assert report.z_ni is not None and report.z_lo is not None
         rows = {bc.name: bc for bc in report.bounds}
         assert rows["Z_RNI^Path/Z_LO"].verdict == "NA"

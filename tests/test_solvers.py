@@ -235,6 +235,20 @@ class TestSolveRniPath:
         sol = solve_rni_path(chain([2, 2, 2]))
         assert sol.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_paths_count_against_the_scenario_limit(self):
+        # an open game (Z_LO = 6 < Z_NI = 11) with 2 cuts and 39 s-t paths
+        inst = fig1(12, 2)
+        sol = solve_rni_path(inst, scenario_limit=39)
+        assert sol.value == pytest.approx(8.0, abs=1e-9)
+        assert certify(inst, sol, kind="path", scenario_limit=39).passed
+        assert len(sol.strategy.support) > 1  # mixed: its best response is an LP
+        with pytest.raises(ScenarioLimitExceeded, match="s-t paths"):
+            solve_rni_path(inst, scenario_limit=38)
+        with pytest.raises(ScenarioLimitExceeded, match="s-t paths"):
+            best_response_path(inst, sol.strategy, scenario_limit=38)
+        with pytest.raises(ScenarioLimitExceeded, match="s-t paths"):
+            certify(inst, sol, kind="path", scenario_limit=38)
+
     def test_witness_is_feasible_path_flow(self):
         inst = fig2b(12, 2)
         sol = solve_rni_path(inst)
@@ -663,9 +677,7 @@ class TestWarmMaster:
         inst = warm_case(case)
         # driven open: the row generation runs even where the game closes
         arc = solvers._rni_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
-        path = solvers._rni_path_rows(
-            inst, solvers.DEFAULT_PATH_LIMIT, solvers.DEFAULT_SCENARIO_LIMIT
-        )
+        path = solvers._rni_path_rows(inst, solvers.DEFAULT_SCENARIO_LIMIT)
         best_response_arc(inst, arc.strategy)
         assert certify(inst, arc, kind="arc").passed
         assert certify(inst, path, kind="path").passed
