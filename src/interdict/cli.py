@@ -1,6 +1,11 @@
 """Command-line front end: generate instances, solve any model, and emit
 bound reports, as plain tables or JSON.
 
+Settings are flags only: --scenario-limit (default DEFAULT_SCENARIO_LIMIT)
+caps every exact enumeration, and --tolerance (default 1e-6) is the
+certificates' gap tolerance.  A limit below 1 or a tolerance outside
+(0, 1) is bad input.
+
 Exit codes: 0 success, 1 bad arguments or unparsable input, 2 resource
 limit exceeded (the scenario limit, which also caps the s-t paths the
 path model enumerates), 3 numerical failure.
@@ -9,10 +14,9 @@ path model enumerates), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from .game import DEFAULT_SCENARIO_LIMIT, ScenarioLimitExceeded
 from .instances import (
@@ -41,43 +45,13 @@ MODELS = ("ni", "rni", "rni-path", "lo", "gamma1")
 PROB_PRINT_FLOOR = 1e-9
 
 
-@dataclass
-class CliConfig:
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT
-    tolerance: float = 1e-6
-    output: str = "table"
-
-    def __post_init__(self):
-        if self.scenario_limit < 1:
-            raise ValueError("scenario_limit must be positive")
-        if not 0 < self.tolerance < 1:
-            raise ValueError("tolerance must lie in (0, 1)")
-
-
-def _setting(args, name, default, parse=int):
-    """The flag if given, else the INTERDICT_<NAME> env var, else default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    raw = os.environ.get(f"INTERDICT_{name.upper()}")
-    return parse(raw) if raw else default
-
-
-def config_from(args) -> CliConfig:
-    """Precedence: command-line flag, then INTERDICT_* env var, then default."""
-    return CliConfig(
-        scenario_limit=_setting(args, "scenario_limit", DEFAULT_SCENARIO_LIMIT),
-        tolerance=_setting(args, "tolerance", 1e-6, parse=float),
-        output="json" if getattr(args, "json", False) else "table",
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad args exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="interdict", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -96,8 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("file", help="instance file, or - for stdin")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--scenario-limit", type=int, dest="scenario_limit")
-        p.add_argument("--tolerance", type=float)
+        p.add_argument(
+            "--scenario-limit", type=int, dest="scenario_limit",
+            default=DEFAULT_SCENARIO_LIMIT,
+        )
+        p.add_argument("--tolerance", type=float, default=1e-6)
 
     slv = sub.add_parser("solve", help="solve one model")
     slv.add_argument("--model", required=True, choices=MODELS)
@@ -115,44 +92,43 @@ def _read_instance(path):
         return parse(handle.read()), path
 
 
-def _instance_summary(instance, name):
-    return {
-        "file": name,
-        "nodes": instance.node_count,
-        "arcs": instance.arc_count,
-        "gamma": instance.gamma,
+def _print_json(
+    instance, name, model, value, strategy=None, certificate=None, bounds=(),
+    **extra,
+):
+    """The stable top-level keys of solve and report --json, then the
+    command's own."""
+    payload = {
+        "instance": {
+            "file": name,
+            "nodes": instance.node_count,
+            "arcs": instance.arc_count,
+            "gamma": instance.gamma,
+        },
+        "model": model,
+        "value": value,
+        "strategy": [
+            {"arcs": list(s.removed), "prob": float(p)}
+            for s, p in (strategy.support if strategy is not None else ())
+        ],
+        "certificate": None if certificate is None else {
+            "flow_gap": certificate.flow_gap,
+            "adversary_gap": certificate.adversary_gap,
+            "pass": certificate.passed,
+        },
+        "bounds": [
+            {
+                "name": bc.name,
+                "lhs": bc.lhs,
+                "rhs": bc.rhs,
+                "verdict": bc.verdict,
+                "tight": bc.tight,
+            }
+            for bc in bounds
+        ],
+        **extra,
     }
-
-
-def _strategy_json(strategy):
-    if strategy is None:
-        return []
-    return [
-        {"arcs": list(s.removed), "prob": float(p)} for s, p in strategy.support
-    ]
-
-
-def _certificate_json(cert):
-    if cert is None:
-        return None
-    return {
-        "flow_gap": cert.flow_gap,
-        "adversary_gap": cert.adversary_gap,
-        "pass": cert.passed,
-    }
-
-
-def _bounds_json(bounds):
-    return [
-        {
-            "name": bc.name,
-            "lhs": bc.lhs,
-            "rhs": bc.rhs,
-            "verdict": bc.verdict,
-            "tight": bc.tight,
-        }
-        for bc in bounds
-    ]
+    print(json.dumps(payload, indent=2))
 
 
 def _print_strategy(strategy):
@@ -210,38 +186,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config = config_from(args)
     instance, name = _read_instance(args.file)
     model = args.model
-    value = None
     strategy = None
     certificate = None
     extra = {}
     if model == "ni":
-        sol = solve_ni(instance, scenario_limit=config.scenario_limit)
+        sol = solve_ni(instance, scenario_limit=args.scenario_limit)
         value = float(sol.value)
         flow = sol.witness_flow
         extra["witness_removal"] = list(sol.witness_scenario.removed)
-    elif model == "rni":
-        sol = solve_rni(instance, scenario_limit=config.scenario_limit)
+    elif model in ("rni", "rni-path"):
+        solve, kind = (solve_rni, "arc") if model == "rni" else (solve_rni_path, "path")
+        sol = solve(instance, scenario_limit=args.scenario_limit)
         value = sol.value
         strategy = sol.strategy
         flow = sol.flow_witness
-        certificate = certify(
-            instance, sol, "arc", config.tolerance, config.scenario_limit
-        )
-    elif model == "rni-path":
-        sol = solve_rni_path(instance, scenario_limit=config.scenario_limit)
-        value = sol.value
-        strategy = sol.strategy
-        flow = sol.flow_witness
-        certificate = certify(
-            instance,
-            sol,
-            kind="path",
-            tolerance=config.tolerance,
-            scenario_limit=config.scenario_limit,
-        )
+        certificate = certify(instance, sol, kind, args.tolerance, args.scenario_limit)
     elif model == "lo":
         sol = solve_lo(instance)
         value = float(sol.value)
@@ -253,19 +214,10 @@ def cmd_solve(args) -> int:
         value = sol.value
         strategy = gamma1_strategy(sol)
         flow = None
-        certificate = certify_gamma1(instance, sol, tolerance=config.tolerance)
+        certificate = certify_gamma1(instance, sol, tolerance=args.tolerance)
 
-    if config.output == "json":
-        payload = {
-            "instance": _instance_summary(instance, name),
-            "model": model,
-            "value": value,
-            "strategy": _strategy_json(strategy),
-            "certificate": _certificate_json(certificate),
-            "bounds": [],
-            **extra,
-        }
-        print(json.dumps(payload, indent=2))
+    if args.json:
+        _print_json(instance, name, model, value, strategy, certificate, **extra)
         return 0
     label = {
         "ni": "Z_NI",
@@ -290,22 +242,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = config_from(args)
     instance, name = _read_instance(args.file)
     report = approx_report(
         instance,
-        tolerance=config.tolerance,
-        scenario_limit=config.scenario_limit,
+        tolerance=args.tolerance,
+        scenario_limit=args.scenario_limit,
     )
-    if config.output == "json":
-        payload = {
-            "instance": _instance_summary(instance, name),
-            "model": "report",
-            "value": report.z_lo,
-            "strategy": [],
-            "certificate": None,
-            "bounds": _bounds_json(report.bounds),
-            "values": {
+    if args.json:
+        _print_json(
+            instance,
+            name,
+            "report",
+            report.z_lo,
+            bounds=report.bounds,
+            values={
                 "nominal_max_flow": report.nominal_max_flow,
                 "z_ni": report.z_ni,
                 "z_rni": report.z_rni,
@@ -314,17 +264,16 @@ def cmd_report(args) -> int:
                 "theta_star": report.theta_star,
                 "flow_value": report.flow_value,
             },
-            "cuts": {
+            cuts={
                 "s_prime": sorted(report.s_prime.s_side),
                 "s_dblprime": sorted(report.s_dblprime.s_side),
                 "a": report.a,
                 "b": report.b,
                 "big_l": report.big_l,
             },
-            "partial": report.partial,
-            "skipped": list(report.skipped),
-        }
-        print(json.dumps(payload, indent=2))
+            partial=report.partial,
+            skipped=list(report.skipped),
+        )
         return 0
 
     def show(label, v):
@@ -364,6 +313,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             return cmd_generate(args)
+        if args.scenario_limit < 1:
+            raise ValueError("scenario_limit must be positive")
+        if not 0 < args.tolerance < 1:
+            raise ValueError("tolerance must lie in (0, 1)")
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_report(args)

@@ -5,10 +5,14 @@ max-flow, min-cut, decomposition, and payoff evaluations are exact whenever
 the inputs are rational (floats convert exactly to binary rationals).  The
 max-flow kernel scales the capacities once to integers over the LCM D of
 their denominators and augments on Python ints; flows come back as
-Fraction(f, D).  Unbounded capacities are materialized as a finite big-M
-chosen so it can never bind.  Enumerations that grow exponentially stop
-at one limit and raise ScenarioLimitExceeded (enumerate_paths here; the
-interdictor's enumerations in game).
+Fraction(f, D).  Unbounded capacities are materialized as a finite big-M,
+1 + the sum of the finite capacities, which binds in no max flow whose true
+value is finite (one where no s-t path of unbounded arcs survives).  An
+Instance refuses unbounded arcs that alone carry more than gamma
+arc-disjoint s-t paths: every removal would leave an unbounded value.
+Enumerations that grow exponentially stop at one limit and raise
+ScenarioLimitExceeded (enumerate_paths here; the interdictor's enumerations
+in game).
 """
 
 from __future__ import annotations
@@ -82,6 +86,13 @@ class Instance:
                 raise ValueError("no arc may leave the sink")
         if not 1 <= self.gamma <= len(self.arcs):
             raise ValueError("gamma must lie in [1, arc count]")
+        if any(arc.capacity is None for arc in self.arcs):
+            unbounded = [0] + [int(arc.capacity is None) for arc in self.arcs]
+            if _augment(self, unbounded)[0] > self.gamma:
+                raise ValueError(
+                    "unbounded arcs alone connect source to sink more than "
+                    "gamma times, so the value is unbounded"
+                )
 
     @property
     def arc_count(self) -> int:

@@ -6,8 +6,11 @@ File format (line oriented, UTF-8, LF):
     p interdict <n> <m> <gamma>     exactly one header line
     n <id> s                        source designator
     n <id> t                        sink designator
-    a <tail> <head> <capacity>      m arc lines; capacity is a nonnegative
-                                    decimal or the token "inf"
+    a <tail> <head> <capacity>      m arc lines; capacity is a finite
+                                    nonnegative decimal or the token "inf"
+
+The "inf" arcs alone may connect source to sink at most gamma times (arc
+disjointly), or the game's value would be unbounded.
 
 Arc ids are 1-based in file order.  parse/serialize round-trip exactly.
 """
@@ -180,9 +183,9 @@ def generate(spec: GeneratorSpec) -> Instance:
 def _parse_capacity(token: str, line: int) -> Optional[Fraction]:
     if token == "inf":
         return None
-    try:
+    try:  # a non-finite Decimal raises ValueError (NaN) or OverflowError
         value = Fraction(Decimal(token))
-    except (InvalidOperation, ValueError):
+    except (InvalidOperation, ValueError, OverflowError):
         raise ParseError(f"bad capacity {token!r}", line) from None
     if value < 0:
         raise ParseError("capacity must be nonnegative", line)
@@ -286,7 +289,10 @@ def parse(text: str) -> Instance:
     if not 1 <= gamma <= m:
         raise ParseError("gamma out of range", lastline)
     arcs = tuple(Arc(t, h, cap) for t, h, cap, _ in raw_arcs)
-    return Instance(node_count=n, source=source, sink=sink, arcs=arcs, gamma=gamma)
+    try:
+        return Instance(node_count=n, source=source, sink=sink, arcs=arcs, gamma=gamma)
+    except ValueError as exc:
+        raise ParseError(str(exc), lastline) from None
 
 
 def serialize(instance: Instance) -> str:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from interdict.cli import main
+from interdict.cli import build_parser, main
 from interdict.graph import Arc, Instance
 from interdict.instances import fig2a, parse, serialize
 from interdict.linopt import NumericalFailure
@@ -171,10 +171,37 @@ class TestSolve:
         assert code == 0
         assert "Z_NI = 4" in stdout
 
-    def test_env_override(self, fig2a_file, capsys, monkeypatch):
+    def test_environment_variables_are_ignored(self, fig2a_file, capsys, monkeypatch):
+        # the flags are the only settings: a limit of 3 would refuse this
         monkeypatch.setenv("INTERDICT_SCENARIO_LIMIT", "3")
         code, _, _ = run(capsys, "solve", "--model", "rni-path", fig2a_file)
-        assert code == 2
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p interdict 2 1 1\nn 1 s\nn 2 t\na 1 2 Infinity\n", "bad capacity"),
+            (
+                "p interdict 2 2 1\nn 1 s\nn 2 t\na 1 2 inf\na 1 2 inf\n",
+                "more than gamma",
+            ),
+        ],
+        ids=["non-finite-capacity", "unbounded-value"],
+    )
+    def test_unusable_capacities_are_input_errors(
+        self, capsys, monkeypatch, text, message
+    ):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, stdout, _ = run(capsys, "solve", "--model", "ni", "-", "--json")
+        assert code == 1
+        error = json.loads(stdout)["error"]
+        assert error["kind"] == "input"
+        assert message in error["message"]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("flag", ["--scenario-limit", "--tolerance"])
     def test_zero_flag_is_rejected_not_replaced(self, fig2a_file, capsys, flag):

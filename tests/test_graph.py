@@ -83,10 +83,14 @@ class TestInstance:
             lambda: Instance(2, 1, 3, (Arc(1, 2, Fraction(1)),), 1),
             lambda: Instance(2, 1, 2, (Arc(1, 3, Fraction(1)),), 1),
             lambda: enumerate_paths(fig2a(2, 1), limit=0),
+            # one removal leaves an s-t path of unbounded arcs: 1-3 or 1-2-3
+            lambda: Instance(
+                3, 1, 3, (Arc(1, 3, None), Arc(1, 2, None), Arc(2, 3, None)), 1
+            ),
         ],
         ids=[
             "negative-capacity", "one-node", "source-is-sink", "sink-out-of-range",
-            "arc-endpoint-out-of-range", "path-limit-zero",
+            "arc-endpoint-out-of-range", "path-limit-zero", "unbounded-value",
         ],
     )
     def test_invalid_input_raises(self, build):

@@ -245,6 +245,15 @@ class TestParse:
         with pytest.raises(ParseError, match="bad capacity"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "token", ["Infinity", "Inf", "-inf", "-Infinity", "NaN", "sNaN"]
+    )
+    def test_non_finite_capacity(self, token):
+        text = f"p interdict 2 1 1\nn 1 s\nn 2 t\na 1 2 {token}\n"
+        with pytest.raises(ParseError, match="bad capacity") as err:
+            parse(text)
+        assert err.value.line == 4
+
     def test_negative_capacity(self):
         text = "p interdict 2 1 1\nn 1 s\nn 2 t\na 1 2 -1\n"
         with pytest.raises(ParseError, match="nonnegative"):
@@ -278,6 +287,7 @@ class TestParse:
             ("p interdict 2 1 1\nn 2 t\n", 2),  # missing source
             ("p interdict 2 1 1\nn 1 s\n", 2),  # missing sink
             ("p interdict 2 1 1\nn 1 s\nn 1 t\n", 3),  # source equals sink
+            ("p interdict 2 2 1\nn 1 s\nn 2 t\na 1 2 inf\na 1 2 inf\n", 5),  # unbounded
         ],
     )
     def test_malformed_input_names_its_line(self, text, line):
